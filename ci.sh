@@ -113,6 +113,12 @@ RUMBA_THREADS=1 cargo test -q -p rumba-serve >/dev/null
 RUMBA_THREADS=4 cargo test -q -p rumba-serve >/dev/null
 echo "    rumba-serve suites green at RUMBA_THREADS=1 and 4"
 
+echo "==> kernel suites: rumba-apps unit, property and doc tests"
+# The exact kernels back every training target, re-execution and oracle
+# error; their own tests (outside the root package) must run here too.
+cargo test -q -p rumba-apps >/dev/null
+echo "    rumba-apps suites green"
+
 echo "==> golden check: bench-serve trace vs ci/serve_trace.golden"
 # The conformance trace is shortest-round-trip formatted JSONL, so a byte
 # diff is a bitwise check of the whole serving layer — session state,

@@ -137,60 +137,6 @@ impl<T> Fifo<T> {
     }
 }
 
-/// One recovery-queue entry: "iteration `iteration` produced a suspected
-/// large error" (the recovery bit of Figure 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RecoveryBit {
-    /// Index of the accelerator iteration to re-execute on the CPU.
-    pub iteration: usize,
-    /// The predicted error that fired the check (kept for tuner telemetry).
-    pub predicted_error: OrderedF64,
-}
-
-/// A totally ordered `f64` wrapper (NaN-free by construction) so recovery
-/// bits can live in ordered collections.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OrderedF64(f64);
-
-impl OrderedF64 {
-    /// Wraps a finite value.
-    ///
-    /// # Panics
-    ///
-    /// Panics on NaN.
-    #[must_use]
-    pub fn new(value: f64) -> Self {
-        assert!(!value.is_nan(), "predicted errors must not be NaN");
-        Self(value)
-    }
-
-    /// The wrapped value.
-    #[must_use]
-    pub fn get(self) -> f64 {
-        self.0
-    }
-}
-
-impl Eq for OrderedF64 {}
-
-impl std::hash::Hash for OrderedF64 {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.to_bits().hash(state);
-    }
-}
-
-impl PartialOrd for OrderedF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("NaN excluded at construction")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,20 +187,6 @@ mod tests {
         q.push(7).unwrap();
         assert_eq!(q.peek(), Some(&7));
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn ordered_f64_sorts() {
-        let mut v = [OrderedF64::new(0.3), OrderedF64::new(0.1), OrderedF64::new(0.2)];
-        v.sort();
-        assert_eq!(v[0].get(), 0.1);
-        assert_eq!(v[2].get(), 0.3);
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn ordered_f64_rejects_nan() {
-        let _ = OrderedF64::new(f64::NAN);
     }
 
     proptest! {

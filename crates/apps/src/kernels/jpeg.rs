@@ -9,6 +9,9 @@
 //! rounded down to whole blocks); test blocks from a different 512×512
 //! image.
 
+use std::f64::consts::{FRAC_1_SQRT_2, PI};
+use std::sync::OnceLock;
+
 use rumba_nn::NnDataset;
 
 use crate::image::Image;
@@ -51,47 +54,97 @@ impl Jpeg {
     }
 }
 
+/// `cos((2n + 1)·k·π / 16)` at `[k][n]` for `k, n < 8`, built once, each
+/// entry with the very expression the per-term transform evaluated, so the
+/// table holds the same bits those `cos()` calls returned.
+fn cos_table() -> &'static [[f64; 8]; 8] {
+    static TABLE: OnceLock<[[f64; 8]; 8]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        std::array::from_fn(|k| {
+            std::array::from_fn(|n| ((2 * n + 1) as f64 * k as f64 * PI / 16.0).cos())
+        })
+    })
+}
+
 /// 2-D orthonormal DCT-II of an 8×8 block.
+///
+/// Each coefficient is the direct double sum over `(y, x)` in row-major
+/// order of `(block · cos_x) · cos_y`, rounded term by term exactly as the
+/// textbook formula reads. The first product, `block · cos_x`, does not
+/// depend on `v`, so it is formed once per pixel and `u`; each `v` row then
+/// accumulates its eight `u` outputs in independent accumulators. No
+/// factorisation, no fused multiply-add and no reassociation, so the
+/// result is bit-for-bit the per-term evaluation (DESIGN.md, "Optimising
+/// exact kernels").
 #[must_use]
+#[allow(clippy::needless_range_loop)] // fixed 8×8 index loops unroll fully
 pub fn dct2_8x8(block: &[f64; 64]) -> [f64; 64] {
+    let table = cos_table();
+    let mut weighted = [[0.0; 8]; 64];
+    for y in 0..8 {
+        for x in 0..8 {
+            for u in 0..8 {
+                weighted[y * 8 + x][u] = block[y * 8 + x] * table[u][x];
+            }
+        }
+    }
     let mut out = [0.0; 64];
-    for u in 0..8 {
-        for v in 0..8 {
-            let cu = if u == 0 { std::f64::consts::FRAC_1_SQRT_2 } else { 1.0 };
-            let cv = if v == 0 { std::f64::consts::FRAC_1_SQRT_2 } else { 1.0 };
-            let mut acc = 0.0;
-            for y in 0..8 {
-                for x in 0..8 {
-                    acc += block[y * 8 + x]
-                        * ((2 * x + 1) as f64 * u as f64 * std::f64::consts::PI / 16.0).cos()
-                        * ((2 * y + 1) as f64 * v as f64 * std::f64::consts::PI / 16.0).cos();
+    for v in 0..8 {
+        let mut acc = [0.0; 8];
+        for y in 0..8 {
+            let cos_y = table[v][y];
+            for x in 0..8 {
+                for u in 0..8 {
+                    acc[u] += weighted[y * 8 + x][u] * cos_y;
                 }
             }
-            out[v * 8 + u] = 0.25 * cu * cv * acc;
+        }
+        let cv = if v == 0 { FRAC_1_SQRT_2 } else { 1.0 };
+        for u in 0..8 {
+            let cu = if u == 0 { FRAC_1_SQRT_2 } else { 1.0 };
+            out[v * 8 + u] = 0.25 * cu * cv * acc[u];
         }
     }
     out
 }
 
 /// 2-D inverse DCT (DCT-III) of an 8×8 coefficient block.
+///
+/// Each pixel is the direct double sum over `(u, v)` in row-major order of
+/// `((cu · cv · coeff) · cos_x) · cos_y`; every coefficient's pass feeds
+/// all 64 pixels in independent accumulators. Bit-for-bit the per-term
+/// evaluation, for the same reasons as [`dct2_8x8`].
+///
+/// Quantization zeroes most coefficients, and every term of a zero
+/// coefficient is `±0`, so those terms are skipped. That is exact: adding
+/// `±0` leaves an accumulator unchanged unless it holds `-0`, and none can
+/// — each starts at `+0`, and a round-to-nearest sum is `-0` only when
+/// both operands are.
 #[must_use]
+#[allow(clippy::needless_range_loop)] // fixed 8×8 index loops unroll fully
 pub fn idct2_8x8(coeffs: &[f64; 64]) -> [f64; 64] {
+    let table = cos_table();
+    let mut acc = [[0.0; 8]; 8];
+    for u in 0..8 {
+        let cu = if u == 0 { FRAC_1_SQRT_2 } else { 1.0 };
+        for v in 0..8 {
+            let cv = if v == 0 { FRAC_1_SQRT_2 } else { 1.0 };
+            let scaled = cu * cv * coeffs[v * 8 + u];
+            if scaled == 0.0 {
+                continue;
+            }
+            for y in 0..8 {
+                let cos_y = table[v][y];
+                for x in 0..8 {
+                    acc[y][x] += scaled * table[u][x] * cos_y;
+                }
+            }
+        }
+    }
     let mut out = [0.0; 64];
     for y in 0..8 {
         for x in 0..8 {
-            let mut acc = 0.0;
-            for u in 0..8 {
-                for v in 0..8 {
-                    let cu = if u == 0 { std::f64::consts::FRAC_1_SQRT_2 } else { 1.0 };
-                    let cv = if v == 0 { std::f64::consts::FRAC_1_SQRT_2 } else { 1.0 };
-                    acc += cu
-                        * cv
-                        * coeffs[v * 8 + u]
-                        * ((2 * x + 1) as f64 * u as f64 * std::f64::consts::PI / 16.0).cos()
-                        * ((2 * y + 1) as f64 * v as f64 * std::f64::consts::PI / 16.0).cos();
-                }
-            }
-            out[y * 8 + x] = 0.25 * acc;
+            out[y * 8 + x] = 0.25 * acc[y][x];
         }
     }
     out

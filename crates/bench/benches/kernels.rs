@@ -1,6 +1,8 @@
-//! Wall-clock cost of one *exact* invocation of each Table-1 kernel — the
-//! software-side ground truth behind the `cpu_cycles()` calibration and the
-//! recovery cost model.
+//! Wall-clock cost of one *exact* invocation of each Table-1 kernel on the
+//! host: what a fired re-execution, a CPU-routed row or a serving oracle
+//! call costs this implementation. `cpu_cycles()` is not derived from these
+//! timings — it models the paper's x86 core (DESIGN.md §5) — so the two
+//! need not agree.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rumba_apps::{all_kernels, Split};

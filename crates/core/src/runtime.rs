@@ -2,7 +2,6 @@
 //! checker + recovery queue + output merger + online tuner, processing an
 //! invocation stream end to end.
 
-use rumba_accel::queue::{Fifo, OrderedF64, RecoveryBit};
 use rumba_accel::{CheckerUnit, Npu, Placement};
 use rumba_apps::Kernel;
 use rumba_energy::SchemeActivity;
@@ -1442,7 +1441,6 @@ impl RumbaSystem {
         let mut approx = Matrix::default();
         self.npu.invoke_batch(data.inputs_view(), &mut scratch, &mut approx)?;
 
-        let mut recovery_queue: Fifo<RecoveryBit> = Fifo::new(self.config.recovery_queue_capacity);
         let mut merged = Vec::with_capacity(n * out_dim);
         let mut fired = vec![false; n];
         let mut fixes = 0usize;
@@ -1452,26 +1450,12 @@ impl RumbaSystem {
             let outcome =
                 self.process_approx(kernel, data.input(i), approx.row(i), &mut out_buf)?;
             if outcome.fired {
-                // Model the recovery queue the CPU drains: the recovery bit
-                // flows through the bounded FIFO (timing cost is accounted
-                // by the pipeline simulation below). A queue-pressure fault
-                // model shrinks the effective capacity with phantom-occupied
-                // slots, forcing earlier back-pressure.
+                // The CPU takes each recovery bit as soon as it is queued,
+                // so the queue holds that one bit plus whatever slots a
+                // queue-pressure fault occupies; the queue's timing is
+                // accounted by the pipeline simulation below.
                 let pressure = self.fault_plan.as_ref().map_or(0, |plan| plan.queue_pressure(i));
-                let effective_cap =
-                    self.config.recovery_queue_capacity.saturating_sub(pressure).max(1);
-                let bit = RecoveryBit {
-                    iteration: i,
-                    predicted_error: OrderedF64::new(outcome.predicted_error),
-                };
-                while recovery_queue.len() >= effective_cap {
-                    // Queue full: drain (CPU consumes in FIFO order) before
-                    // enqueueing — models back-pressure without deadlock.
-                    let _ = recovery_queue.pop();
-                }
-                recovery_queue.push(bit).expect("drained below capacity");
-                self.note_queue_depth(recovery_queue.len() + pressure);
-                let _ = recovery_queue.pop().expect("just pushed");
+                self.note_queue_depth(1 + pressure);
                 *fired_flag = true;
                 fixes += 1;
             }
@@ -1558,7 +1542,6 @@ impl RumbaSystem {
 
         self.begin_stream();
         let window = self.config.window;
-        let mut recovery_queue: Fifo<RecoveryBit> = Fifo::new(self.config.recovery_queue_capacity);
         let mut merged = Vec::with_capacity(n * out_dim);
         let mut fired = vec![false; n];
         // Rows the CPU executes exactly — checker-fired recoveries plus
@@ -1605,18 +1588,7 @@ impl RumbaSystem {
                 if outcome.fired {
                     let pressure =
                         self.fault_plan.as_ref().map_or(0, |plan| plan.queue_pressure(i));
-                    let effective_cap =
-                        self.config.recovery_queue_capacity.saturating_sub(pressure).max(1);
-                    let bit = RecoveryBit {
-                        iteration: i,
-                        predicted_error: OrderedF64::new(outcome.predicted_error),
-                    };
-                    while recovery_queue.len() >= effective_cap {
-                        let _ = recovery_queue.pop();
-                    }
-                    recovery_queue.push(bit).expect("drained below capacity");
-                    self.note_queue_depth(recovery_queue.len() + pressure);
-                    let _ = recovery_queue.pop().expect("just pushed");
+                    self.note_queue_depth(1 + pressure);
                     fired[i] = true;
                     cpu_rows[i] = true;
                     fixes += 1;

@@ -882,11 +882,18 @@ impl Session {
                     &mut self.out_buf,
                 )?,
             };
-            self.kernel.compute(input, &mut self.exact_buf);
-            let err = metric.invocation_error(&self.exact_buf, &self.out_buf[..out_dim]);
             // CPU-routed rows occupy the CPU lane of the drain's pipeline
             // simulation exactly like a fired re-execution does.
             *fired_slot = outcome.fired || routes.is_some_and(|r| r[i] == model_tiers);
+            // Fired (re-executed, never compensated) and CPU-routed rows
+            // already hold the exact result; the kernel is pure, so the
+            // oracle reuses it instead of computing it a second time.
+            if *fired_slot {
+                self.exact_buf.copy_from_slice(&self.out_buf[..out_dim]);
+            } else {
+                self.kernel.compute(input, &mut self.exact_buf);
+            }
+            let err = metric.invocation_error(&self.exact_buf, &self.out_buf[..out_dim]);
             self.stats.processed += 1;
             self.stats.error_sum += err;
             self.completed.push_back(SessionResult {

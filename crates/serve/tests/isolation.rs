@@ -6,7 +6,7 @@
 //! armed in one session must leave every other session's event stream
 //! untouched.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use proptest::prelude::*;
 use rumba_apps::{kernel_by_name, Split};
@@ -19,12 +19,19 @@ use rumba_serve::{
     AdmissionPolicy, CheckerKind, ServeRuntime, SessionConfig, SessionResult, SessionStats,
 };
 
-/// Serializes the tests that install a global event sink.
-static SINK_LOCK: Mutex<()> = Mutex::new(());
+/// The global event sink is process-wide, so a test that installs one
+/// holds this lock exclusively: every other test here opens sessions that
+/// emit events too, and holds it shared so none of its events land in
+/// another test's sink.
+static SINK_LOCK: RwLock<()> = RwLock::new(());
+
+/// Held by every test that does not install a sink; see [`SINK_LOCK`].
+fn sink_quiet() -> RwLockReadGuard<'static, ()> {
+    SINK_LOCK.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn with_memory_sink<R>(f: impl FnOnce() -> R) -> (Vec<Event>, R) {
-    let _guard: MutexGuard<'_, ()> =
-        SINK_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _guard = SINK_LOCK.write().unwrap_or_else(PoisonError::into_inner);
     let sink = Arc::new(MemorySink::new());
     rumba_obs::set_global_sink(sink.clone());
     let result = f();
@@ -165,6 +172,7 @@ proptest! {
         priorities in proptest::collection::vec(0u64..1_000_000, 54),
         drains in proptest::collection::vec(proptest::bool::ANY, 54),
     ) {
+        let _quiet = sink_quiet();
         let (tenants, requests) = (3, 18);
         let schedule = schedule_from(tenants, requests, &priorities);
         let multi = run_multiplexed(tenants, requests, None, &schedule, &drains);
@@ -183,6 +191,7 @@ proptest! {
         drains in proptest::collection::vec(proptest::bool::ANY, 36),
         faulty in 0usize..3,
     ) {
+        let _quiet = sink_quiet();
         let (tenants, requests) = (3, 12);
         let schedule = schedule_from(tenants, requests, &priorities);
         let multi = run_multiplexed(tenants, requests, Some(faulty), &schedule, &drains);
@@ -197,6 +206,7 @@ proptest! {
 /// one worker and four workers produce bitwise-identical sessions.
 #[test]
 fn multiplexed_serving_is_thread_invariant() {
+    let _quiet = sink_quiet();
     let schedule = schedule_from(3, 16, &[]);
     let drains: Vec<bool> = (0..48).map(|i| i % 5 == 4).collect();
 
@@ -219,6 +229,7 @@ fn multiplexed_serving_is_thread_invariant() {
 fn multiplexed_serving_is_simd_invariant() {
     use rumba_nn::SimdMode;
 
+    let _quiet = sink_quiet();
     let schedule = schedule_from(3, 16, &[]);
     let drains: Vec<bool> = (0..48).map(|i| i % 5 == 4).collect();
 
