@@ -113,6 +113,13 @@ RUMBA_THREADS=1 cargo test -q -p rumba-serve >/dev/null
 RUMBA_THREADS=4 cargo test -q -p rumba-serve >/dev/null
 echo "    rumba-serve suites green at RUMBA_THREADS=1 and 4"
 
+echo "==> benchmark harness: perfbench builds and tests against the workspace crates"
+# perfbench depends on crates/* by path but sits outside the root
+# workspace, so no workspace-level step would notice an API change that
+# breaks it.
+cargo test -q --release --manifest-path perfbench/Cargo.toml >/dev/null
+echo "    perfbench suites green"
+
 echo "==> kernel suites: rumba-apps unit, property and doc tests"
 # The exact kernels back every training target, re-execution and oracle
 # error; their own tests (outside the root package) must run here too.

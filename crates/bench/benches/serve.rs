@@ -1,7 +1,7 @@
 //! Wall-clock cost of the serving layer: one multiplexed scheduling
 //! round versus per-session serial drains, and the full seeded workload
-//! replay at each tenant count (the interactive-latency counterpart of
-//! `BENCH_serve.json`).
+//! replay at each tenant count. The end-to-end serving numbers of record
+//! come from `perfbench/` (`python3 perfbench/run.py`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rumba_apps::{kernel_by_name, Split};

@@ -235,9 +235,6 @@ pub enum Command {
         tenants: usize,
         /// Requests per tenant.
         requests: usize,
-        /// Where to write the tenant-sweep throughput report
-        /// (`BENCH_serve.json`); `None` skips the sweep.
-        json_out: Option<String>,
         /// When set, replay the workload over real TCP through this many
         /// shards (one lockstep connection per tenant) and print the
         /// multi-client trace instead of the in-process one.
@@ -646,7 +643,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let mut seed = 7u64;
             let mut tenants = 3usize;
             let mut requests = 40usize;
-            let mut json_out = None;
             let mut shards = None;
             let mut threads = None;
             let mut simd = None;
@@ -686,10 +682,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         requests = v as usize;
                         k += 2;
                     }
-                    "--json-out" => {
-                        json_out = Some(parse_path(rest.get(k + 1).copied(), "--json-out")?);
-                        k += 2;
-                    }
                     "--threads" => {
                         threads = Some(parse_threads(rest.get(k + 1).copied())?);
                         k += 2;
@@ -701,7 +693,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     other => return Err(ParseError::UnknownFlag(other.to_owned())),
                 }
             }
-            Ok(Command::BenchServe { seed, tenants, requests, json_out, shards, threads, simd })
+            Ok(Command::BenchServe { seed, tenants, requests, shards, threads, simd })
         }
         Some("run") => {
             let kernel = it.next().ok_or(ParseError::MissingKernel)?.to_owned();
@@ -863,8 +855,7 @@ USAGE:
     rumba serve [--socket PATH | --tcp HOST:PORT] [--shards N]
                 [--threads N] [--simd M]
     rumba bench-serve [--seed N] [--tenants N] [--requests N]
-                      [--shards N] [--json-out PATH] [--threads N]
-                      [--simd M]
+                      [--shards N] [--threads N] [--simd M]
     rumba help
 
 THREADS:
@@ -966,8 +957,7 @@ SERVING:
     byte-identical at every thread count (ci/serve_trace.golden gates
     this). With --shards N the same workload runs over real TCP, one
     lockstep connection per tenant (ci/serve_net.golden gates this at
-    shards 1 and 2). --json-out additionally sweeps the tenant count and
-    the shard x client grid and writes a throughput/queue-depth report.
+    shards 1 and 2).
 
 EXAMPLES:
     rumba run inversek2j --checker tree --toq 0.9
@@ -1322,20 +1312,18 @@ mod tests {
                 seed: 7,
                 tenants: 3,
                 requests: 40,
-                json_out: None,
                 shards: None,
                 threads: None,
                 simd: None,
             }
         );
         assert_eq!(
-            p("bench-serve --seed 9 --tenants 2 --requests 12 --shards 2 --json-out b.json --threads 4 --simd 1")
+            p("bench-serve --seed 9 --tenants 2 --requests 12 --shards 2 --threads 4 --simd 1")
                 .unwrap(),
             Command::BenchServe {
                 seed: 9,
                 tenants: 2,
                 requests: 12,
-                json_out: Some("b.json".into()),
                 shards: Some(2),
                 threads: Some(4),
                 simd: Some(SimdMode::On),

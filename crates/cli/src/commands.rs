@@ -978,34 +978,23 @@ pub fn serve(
 /// returns the canonical protocol response trace (the serving
 /// conformance artifact). With `shards`, the same workload runs over
 /// real TCP through a sharded server, one lockstep connection per
-/// tenant (the `ci/serve_net.golden` artifact). With `json_out`,
-/// additionally sweeps the tenant count and the shard × client grid and
-/// writes the throughput/queue-depth report there.
+/// tenant (the `ci/serve_net.golden` artifact).
 ///
 /// # Errors
 ///
-/// Returns a [`CommandError`] if the workload cannot be opened or the
-/// report cannot be written.
+/// Returns a [`CommandError`] if the workload cannot be opened.
 pub fn bench_serve(
     seed: u64,
     tenants: usize,
     requests: usize,
-    json_out: Option<&str>,
     shards: Option<usize>,
 ) -> Result<String, CommandError> {
     let cfg = rumba_serve::bench::BenchConfig { seed, tenants, requests };
     let trace = match shards {
-        Some(shards) => rumba_serve::bench::run_net_trace(cfg, shards)
-            .map_err(|e| CommandError(e.to_string()))?,
-        None => rumba_serve::bench::run_trace(cfg).map_err(|e| CommandError(e.to_string()))?.0,
+        Some(shards) => rumba_serve::bench::run_net_trace(cfg, shards),
+        None => rumba_serve::bench::run_trace(cfg).map(|(trace, _)| trace),
     };
-    if let Some(path) = json_out {
-        let report =
-            rumba_serve::bench::bench_report(cfg).map_err(|e| CommandError(e.to_string()))?;
-        std::fs::write(path, format!("{report}\n"))
-            .map_err(|e| CommandError(format!("cannot write {path}: {e}")))?;
-    }
-    Ok(trace)
+    trace.map_err(|e| CommandError(e.to_string()))
 }
 
 #[cfg(test)]
@@ -1192,15 +1181,15 @@ mod tests {
 
     #[test]
     fn bench_serve_trace_is_reproducible_and_clean() {
-        let a = bench_serve(7, 2, 6, None, None).unwrap();
-        let b = bench_serve(7, 2, 6, None, None).unwrap();
+        let a = bench_serve(7, 2, 6, None).unwrap();
+        let b = bench_serve(7, 2, 6, None).unwrap();
         assert_eq!(a, b);
         assert!(a.contains("\"op\":\"open\""));
         assert!(a.contains("\"type\":\"closed\""));
         assert!(!a.contains("\"type\":\"error\""), "trace must be clean:\n{a}");
         // The sharded TCP replay carries the same payloads, prefixed with
         // the observing connection.
-        let net = bench_serve(7, 2, 6, None, Some(2)).unwrap();
+        let net = bench_serve(7, 2, 6, Some(2)).unwrap();
         let stripped: String = net.lines().fold(String::new(), |mut acc, l| {
             acc.push_str(l.split_once(' ').expect("prefixed line").1);
             acc.push('\n');

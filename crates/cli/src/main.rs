@@ -109,10 +109,10 @@ fn main() -> ExitCode {
             rumba_nn::set_simd_override(simd);
             commands::serve(socket.as_deref(), tcp.as_deref(), shards)
         }
-        Command::BenchServe { seed, tenants, requests, json_out, shards, threads, simd } => {
+        Command::BenchServe { seed, tenants, requests, shards, threads, simd } => {
             rumba_parallel::set_thread_override(threads);
             rumba_nn::set_simd_override(simd);
-            commands::bench_serve(seed, tenants, requests, json_out.as_deref(), shards)
+            commands::bench_serve(seed, tenants, requests, shards)
         }
     };
 

@@ -1,12 +1,19 @@
 //! The online Rumba system (Figure 4's execution subsystem): accelerator +
 //! checker + recovery queue + output merger + online tuner, processing an
 //! invocation stream end to end.
+//!
+//! Batch runs ([`RumbaSystem::run`]), streaming ([`RumbaSystem::process`])
+//! and the serving scheduler share one three-step pipeline: *route* a
+//! block of rows to zoo tiers ([`RumbaSystem::route_rows`]), *approximate*
+//! them with one pure batched accelerator call ([`approximate`]), and
+//! *replay* the stateful decision path serially, row by row, in stream
+//! order ([`RumbaSystem::replay`]).
 
 use rumba_accel::{CheckerUnit, Npu, Placement};
 use rumba_apps::Kernel;
 use rumba_energy::SchemeActivity;
 use rumba_faults::{FaultKind, FaultPlan, FaultStats};
-use rumba_nn::{Matrix, MatrixView, NnDataset, Scratch};
+use rumba_nn::{Matrix, MatrixView, NnDataset, NnError, Scratch};
 
 use crate::openworld::{Reservoir, ReservoirRow};
 use crate::pipeline::{simulate, PipelineRun};
@@ -187,14 +194,18 @@ pub struct RunOutcome {
     pub degrade_stage: DegradeStage,
 }
 
-/// What [`RumbaSystem::process`] did for one streamed invocation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What [`RumbaSystem::replay`] did for one invocation.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StreamOutcome {
     /// Whether the check fired and the iteration was re-executed exactly.
     pub fired: bool,
     /// Whether the iteration was repaired in place with the signed
     /// estimate instead of re-executing (mutually exclusive with `fired`).
     pub compensated: bool,
+    /// Whether the zoo routed the iteration to the exact-CPU tier, so it
+    /// was computed exactly without a check (mutually exclusive with
+    /// `fired` and `compensated`).
+    pub cpu_routed: bool,
     /// The checker's predicted error for this invocation.
     pub predicted_error: f64,
 }
@@ -266,6 +277,9 @@ pub struct RumbaSystem {
     // Online-refit state (None = the reset-only recalibration path,
     // byte-identical to builds without the refit machinery compiled in).
     refit_state: Option<RefitState>,
+    // Reusable one-row accelerator workspace for `process`.
+    scratch: Scratch,
+    approx: Matrix,
 }
 
 /// Cap on the queue-pressure exponent: each degradation step doubles the
@@ -351,6 +365,8 @@ impl RumbaSystem {
             session_label: String::new(),
             zoo_state: None,
             refit_state: None,
+            scratch: Scratch::new(),
+            approx: Matrix::default(),
         })
     }
 
@@ -640,7 +656,7 @@ impl RumbaSystem {
     /// Restores streaming state exported by [`RumbaSystem::export_state`]
     /// onto an identically configured system (same kernel, checker kind,
     /// tuning mode, window, and queue configuration). The tuner is rebuilt
-    /// at the exported threshold, so the next `process_approx` behaves
+    /// at the exported threshold, so the next `replay` behaves
     /// exactly as it would have on the exporting system.
     ///
     /// # Errors
@@ -832,9 +848,24 @@ impl RumbaSystem {
         }
     }
 
-    /// Processes one invocation in streaming mode: runs the accelerator and
-    /// the checker, re-executes exactly on a fired check, writes the merged
-    /// result into `output`, and advances the tuning window.
+    /// The pipeline's *route* step: the zoo tier of every row of
+    /// `inputs` at the current [`RumbaSystem::routing_bar`], or `None`
+    /// when no zoo is attached (the single model is a one-tier ladder
+    /// whose router is skipped). The bar moves only at window flushes and
+    /// explicit pressure changes, so a block that does not straddle a
+    /// flush routes exactly as its rows would one at a time.
+    #[must_use]
+    pub fn route_rows(&self, inputs: MatrixView<'_>) -> Option<Vec<usize>> {
+        let bar = self.routing_bar()?;
+        let zoo = &self.zoo_state.as_ref()?.zoo;
+        Some((0..inputs.rows()).map(|r| zoo.route(inputs.row(r), bar)).collect())
+    }
+
+    /// Processes one invocation in streaming mode: routes it, runs the
+    /// accelerator, and replays the checked decision path
+    /// ([`RumbaSystem::replay`]) — the same three steps
+    /// [`RumbaSystem::run`] takes over a whole block — writing the merged
+    /// result into `output`.
     ///
     /// Call [`RumbaSystem::begin_stream`] before the first invocation of a
     /// stream. Use this interface to slot the managed accelerator into a
@@ -853,108 +884,95 @@ impl RumbaSystem {
         input: &[f64],
         output: &mut [f64],
     ) -> Result<StreamOutcome> {
-        if self.zoo_state.is_some() {
-            let bar = self.routing_bar().expect("zoo attached");
-            let zs = self.zoo_state.as_ref().expect("zoo attached");
-            let tier = zs.zoo.route(input, bar);
-            let approx = if tier == zs.zoo.cpu_tier() {
-                None
-            } else {
-                Some(zs.zoo.tier(tier).npu.invoke_at(self.stream_invocations, input)?.outputs)
-            };
-            return self.process_routed(kernel, input, tier, approx.as_deref(), output);
-        }
+        let inputs = MatrixView::new(input, 1, input.len());
+        let routes = self.route_rows(inputs);
         // The stream index keys the fault decisions, so a streaming run is
         // corrupted bit-identically to a batched `run` over the same rows.
-        let result = self.npu.invoke_at(self.stream_invocations, input)?;
-        self.process_approx(kernel, input, &result.outputs, output)
+        approximate(
+            &self.npu,
+            self.zoo_state.as_ref().map(|zs| &zs.zoo),
+            self.stream_invocations,
+            inputs,
+            routes.as_deref(),
+            &mut self.scratch,
+            &mut self.approx,
+        )?;
+        let approx = std::mem::take(&mut self.approx);
+        let outcome = self.replay(kernel, input, routes.map(|r| r[0]), approx.row(0), output);
+        self.approx = approx;
+        Ok(outcome)
     }
 
-    /// The routed half of a zoo-armed [`RumbaSystem::process`]: accounts
-    /// the tier decision, then either replays the normal checked path on
-    /// the tier's approximate output, or — for the exact-CPU tier
-    /// (`approx_output == None`) — computes the row exactly with no
-    /// checker involvement (scheduled exact execution is not recovery: it
-    /// consumes no re-execution budget and contributes nothing to the
-    /// tuner's unfixed-prediction mass).
+    /// The pipeline's *replay* step for one row: the stateful decision
+    /// path — tier accounting, non-finite screen, checker, threshold,
+    /// recovery or compensation, merge — writing the merged result into
+    /// `output` and advancing the tuning window. `tier` is the row's
+    /// [`RumbaSystem::route_rows`] decision (`None` without a zoo) and
+    /// `approx_output` its [`approximate`] output. [`RumbaSystem::run`],
+    /// [`RumbaSystem::process`] and the serving scheduler all replay
+    /// through here, serially and in stream order, which keeps batch,
+    /// streaming and multiplexed serving bit-identical.
     ///
-    /// The serving scheduler calls this directly with tier decisions and
-    /// per-tier sub-batch outputs computed at drain time; `tier` must be
-    /// the decision [`ModelZoo::route`] makes for this row under the bar
-    /// in force when the row was dispatched.
-    ///
-    /// # Errors
-    ///
-    /// Mirrors [`RumbaSystem::process_approx`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no zoo is attached, the tier index is out of range, or
-    /// `output` is narrower than the kernel's output width.
-    pub fn process_routed(
-        &mut self,
-        kernel: &dyn Kernel,
-        input: &[f64],
-        tier: usize,
-        approx_output: Option<&[f64]>,
-        output: &mut [f64],
-    ) -> Result<StreamOutcome> {
-        {
-            let zs = self.zoo_state.as_mut().expect("process_routed requires an attached zoo");
-            zs.window_tiers[tier] += 1;
-            zs.stream_tiers[tier] += 1;
-            if tier < zs.zoo.len() {
-                zs.tier_cycles_total += zs.zoo.tier_cycles(tier) as f64;
-            }
-        }
-        match approx_output {
-            Some(approx) => self.process_approx(kernel, input, approx, output),
-            None => {
-                kernel.compute(input, output);
-                let (cpu_capacity, capacity_clamped) = self.cpu_capacity_per_window(kernel);
-                self.window_len += 1;
-                self.stream_invocations += 1;
-                if self.window_len == self.config.window {
-                    self.flush_window(kernel, cpu_capacity, capacity_clamped);
-                }
-                Ok(StreamOutcome { fired: false, compensated: false, predicted_error: 0.0 })
-            }
-        }
-    }
-
-    /// The stateful half of [`RumbaSystem::process`], taking an already-
-    /// computed approximate output row. [`RumbaSystem::run`] precomputes
-    /// the pure accelerator outputs in one batched invocation and replays
-    /// this decision path serially over the rows, which keeps the
-    /// checker/tuner state evolution — and therefore the output —
-    /// identical to streaming. The serving scheduler uses the same split:
-    /// it batches many sessions' pending requests through shared
-    /// [`Npu::invoke_batch_at`] calls and replays each session's rows
-    /// serially here, so multiplexed outputs are bit-identical to running
-    /// each session alone.
+    /// A row routed to the exact-CPU tier is computed exactly and its
+    /// `approx_output` ignored. Scheduled exact execution is not recovery:
+    /// no checker runs, the row consumes no re-execution budget, adds
+    /// nothing to the tuner's unfixed-prediction mass, and is neither
+    /// audited for the refit nor attributed to a fault.
     ///
     /// `approx_output` must be the accelerator's output for stream
     /// position [`RumbaSystem::stream_invocations`] (i.e. rows are
     /// replayed in arrival order with no gaps), or fault attribution and
     /// the determinism contract break.
     ///
-    /// # Errors
-    ///
-    /// This path itself cannot fail today; the `Result` mirrors
-    /// [`RumbaSystem::process`] so callers handle both identically.
-    ///
     /// # Panics
     ///
-    /// Panics if `output` is narrower than the kernel's output width.
-    pub fn process_approx(
+    /// Panics if `tier` is given without an attached zoo or is out of
+    /// range, or if `output` is narrower than the kernel's output width.
+    pub fn replay(
+        &mut self,
+        kernel: &dyn Kernel,
+        input: &[f64],
+        tier: Option<usize>,
+        approx_output: &[f64],
+        output: &mut [f64],
+    ) -> StreamOutcome {
+        let mut cpu_routed = false;
+        if let Some(tier) = tier {
+            let zs = self.zoo_state.as_mut().expect("a routed row requires an attached zoo");
+            zs.window_tiers[tier] += 1;
+            zs.stream_tiers[tier] += 1;
+            if tier < zs.zoo.len() {
+                zs.tier_cycles_total += zs.zoo.tier_cycles(tier) as f64;
+            } else {
+                cpu_routed = true;
+            }
+        }
+        let outcome = if cpu_routed {
+            kernel.compute(input, output);
+            StreamOutcome { cpu_routed, ..StreamOutcome::default() }
+        } else {
+            self.check_row(kernel, input, approx_output, output)
+        };
+        self.window_len += 1;
+        self.stream_invocations += 1;
+        if self.window_len == self.config.window {
+            self.flush_window(kernel);
+        }
+        outcome
+    }
+
+    /// The checked half of [`RumbaSystem::replay`] for a row the
+    /// accelerator produced: non-finite screen, checker, threshold,
+    /// recovery or compensation, merge, refit capture and fault
+    /// attribution.
+    fn check_row(
         &mut self,
         kernel: &dyn Kernel,
         input: &[f64],
         approx_output: &[f64],
         output: &mut [f64],
-    ) -> Result<StreamOutcome> {
+    ) -> StreamOutcome {
         let invocation = self.stream_invocations;
-        let (cpu_capacity_per_window, capacity_clamped) = self.cpu_capacity_per_window(kernel);
 
         // Non-finite screen, *before* the checker runs: a NaN/Inf row must
         // never reach the checker state, the tuner mean, or the merged
@@ -981,7 +999,7 @@ impl RumbaSystem {
                 self.fault_stats.checker_blinded += 1;
                 predicted = 0.0;
             }
-            let cap = self.tuner.reexec_cap(cpu_capacity_per_window);
+            let cap = self.tuner.reexec_cap(self.cpu_capacity_per_window(kernel).0);
             let budget_left = cap.is_none_or(|c| self.window_fired < c);
             let wants_fire = predicted > self.tuner.threshold();
             // Predict-and-compensate split: a fired check inside the band
@@ -1032,13 +1050,17 @@ impl RumbaSystem {
             fired,
         );
         self.note_faults(invocation, approx_output.len(), quarantined, fired);
-        self.window_len += 1;
-        self.stream_invocations += 1;
-
-        if self.window_len == self.config.window {
-            self.flush_window(kernel, cpu_capacity_per_window, capacity_clamped);
+        if fired {
+            // The CPU takes each recovery bit as soon as it is queued, so
+            // the queue holds that one bit plus whatever slots a
+            // queue-pressure fault occupies (the queue's timing is the
+            // pipeline simulation's business). Recorded before the row
+            // can close its window, so the depth lands in the right one.
+            let pressure =
+                self.fault_plan.as_ref().map_or(0, |plan| plan.queue_pressure(invocation));
+            self.window_queue_depth = self.window_queue_depth.max(1 + pressure as u64);
         }
-        Ok(StreamOutcome { fired, compensated, predicted_error: predicted })
+        StreamOutcome { fired, compensated, cpu_routed: false, predicted_error: predicted }
     }
 
     /// The armed refit's ground-truth capture for one processed row:
@@ -1194,12 +1216,6 @@ impl RumbaSystem {
         (raw.max(1), raw == 0)
     }
 
-    /// Folds the recovery-queue depth observed after an enqueue into the
-    /// current window's telemetry high-water mark.
-    fn note_queue_depth(&mut self, depth: usize) {
-        self.window_queue_depth = self.window_queue_depth.max(depth as u64);
-    }
-
     /// Tuning windows completed since [`RumbaSystem::begin_stream`].
     #[must_use]
     pub fn windows_flushed(&self) -> u64 {
@@ -1212,14 +1228,14 @@ impl RumbaSystem {
     /// call this so the tail of the stream still reaches the tuner and the
     /// `window_end` telemetry.
     pub fn end_stream(&mut self, kernel: &dyn Kernel) {
-        let (cpu_capacity, capacity_clamped) = self.cpu_capacity_per_window(kernel);
-        self.flush_window(kernel, cpu_capacity, capacity_clamped);
+        self.flush_window(kernel);
     }
 
-    fn flush_window(&mut self, kernel: &dyn Kernel, cpu_capacity: usize, capacity_clamped: bool) {
+    fn flush_window(&mut self, kernel: &dyn Kernel) {
         if self.window_len == 0 {
             return;
         }
+        let (cpu_capacity, capacity_clamped) = self.cpu_capacity_per_window(kernel);
         // Window quality estimate: fixed iterations are exact, so the
         // window's predicted output error is the unfixed prediction mass
         // over the whole window. Quarantined iterations were re-executed
@@ -1410,6 +1426,16 @@ impl RumbaSystem {
     /// Processes every invocation in `data`, returning the merged outputs
     /// and full telemetry.
     ///
+    /// The rows go through the same route → approximate → replay steps as
+    /// [`RumbaSystem::process`], a chunk at a time: the accelerator is
+    /// pure, so each chunk's outputs are one cache-blocked batched
+    /// invocation (rows fan out over the deterministic pool), and the
+    /// stateful replay then runs serially over the chunk's rows, which
+    /// keeps every decision — and the merged stream — bit-identical to
+    /// streaming the rows one at a time. Without a zoo one chunk covers
+    /// the whole stream; with a zoo the chunks are the tuning windows,
+    /// because the routing bar only moves at window flushes.
+    ///
     /// # Errors
     ///
     /// Returns [`RumbaError::EmptyWorkload`] for an empty dataset and
@@ -1418,187 +1444,49 @@ impl RumbaSystem {
         if data.is_empty() {
             return Err(RumbaError::EmptyWorkload);
         }
-        if self.zoo_state.is_some() {
-            return self.run_zoo(kernel, data);
-        }
         let _span = rumba_obs::span("core.run");
         let n = data.len();
         let out_dim = self.npu.output_dim();
-        let metric = kernel.metric();
-        let cpu_cycles = kernel.cpu_cycles();
-        let npu_cycles = self.npu.cycles_per_invocation() as f64;
-        let (cpu_capacity_per_window, capacity_clamped) = self.cpu_capacity_per_window(kernel);
+        let chunk = if self.zoo_state.is_some() { self.config.window } else { n };
 
         self.begin_stream();
-        // The accelerator is pure, so its outputs for the whole stream are
-        // precomputed as one cache-blocked batched invocation (rows fan
-        // out over the deterministic pool); the stateful decision loop
-        // below (checker history, tuner, recovery queue) then replays
-        // serially over the rows, which keeps every decision — and the
-        // merged stream — bit-identical to streaming the invocations one
-        // at a time.
-        let mut scratch = Scratch::new();
-        let mut approx = Matrix::default();
-        self.npu.invoke_batch(data.inputs_view(), &mut scratch, &mut approx)?;
-
-        let mut merged = Vec::with_capacity(n * out_dim);
-        let mut fired = vec![false; n];
-        let mut fixes = 0usize;
-        let mut out_buf = vec![0.0; out_dim];
-
-        for (i, fired_flag) in fired.iter_mut().enumerate() {
-            let outcome =
-                self.process_approx(kernel, data.input(i), approx.row(i), &mut out_buf)?;
-            if outcome.fired {
-                // The CPU takes each recovery bit as soon as it is queued,
-                // so the queue holds that one bit plus whatever slots a
-                // queue-pressure fault occupies; the queue's timing is
-                // accounted by the pipeline simulation below.
-                let pressure = self.fault_plan.as_ref().map_or(0, |plan| plan.queue_pressure(i));
-                self.note_queue_depth(1 + pressure);
-                *fired_flag = true;
-                fixes += 1;
-            }
-            merged.extend_from_slice(&out_buf);
-        }
-        // Flush the final partial window.
-        self.flush_window(kernel, cpu_capacity_per_window, capacity_clamped);
-
-        // Measured quality of the merged stream (pure per invocation, so
-        // the scoring also fans out).
-        let merged_ref = &merged;
-        let invocation_errors: Vec<f64> = rumba_parallel::par_map_range(n, |i| {
-            metric.invocation_error(data.target(i), &merged_ref[i * out_dim..(i + 1) * out_dim])
-        });
-        let output_error = invocation_errors.iter().sum::<f64>() / n as f64;
-
-        let serial_detector_cycles = match (self.config.placement, self.checker.is_input_based()) {
-            (Placement::BeforeAccelerator, true) => {
-                n as f64 * self.checker.cycles_per_prediction() as f64
-            }
-            _ => 0.0,
-        };
-        let pipeline = simulate(n, npu_cycles, cpu_cycles, &fired);
-        if rumba_obs::enabled() {
-            rumba_obs::global_sink().emit(&rumba_obs::Event::RunSummary {
-                kernel: kernel.name().to_owned(),
-                invocations: n as u64,
-                fixes: fixes as u64,
-                compensated: self.stream_compensations as u64,
-                output_error,
-                windows: self.windows_flushed,
-                cpu_utilization: pipeline.cpu_utilization,
-                final_threshold: self.tuner.threshold(),
-                tiers: Vec::new(),
-                session: self.session_label.clone(),
-            });
-        }
-        let activity = SchemeActivity {
-            accelerator_invocations: n,
-            npu_cycles_per_invocation: self.npu.cycles_per_invocation(),
-            io_words_per_invocation: self.npu.input_dim() + self.npu.output_dim(),
-            checker_invocations: n,
-            checker_cost: self.checker.cost(),
-            reexecutions: fixes,
-            compensations: self.stream_compensations,
-            serial_detector_cycles,
-            tiered_accelerator_cycles: 0.0,
-        };
-
-        Ok(RunOutcome {
-            merged_outputs: merged,
-            fired,
-            fixes,
-            compensated: self.stream_compensations,
-            output_error,
-            invocation_errors,
-            activity,
-            pipeline,
-            threshold_history: self.tuner.history().to_vec(),
-            quarantined: self.fault_stats.quarantined as usize,
-            fault_stats: self.fault_stats,
-            degrade_stage: self.stage,
-        })
-    }
-
-    /// The zoo-armed batch path. Work proceeds in window-aligned chunks:
-    /// within a chunk the routing bar is constant (the tuner's tier scale
-    /// only moves at window flushes), so every row's tier is a pure
-    /// function of its input and the chunk's bar — identical to streaming
-    /// the rows one at a time. Per chunk, rows are grouped into per-tier
-    /// sub-batches and gathered through [`Npu::invoke_rows_at`], so the
-    /// SIMD/flat-matrix batch paths still run and still produce the exact
-    /// bits of per-row invocations; the stateful decision loop then
-    /// replays serially in row order, exactly like [`RumbaSystem::run`].
-    fn run_zoo(&mut self, kernel: &dyn Kernel, data: &NnDataset) -> Result<RunOutcome> {
-        let _span = rumba_obs::span("core.run_zoo");
-        let n = data.len();
-        let out_dim = self.npu.output_dim();
-        let in_dim = self.npu.input_dim();
-        let metric = kernel.metric();
-        let cpu_cycles = kernel.cpu_cycles();
-        let npu_cycles = self.npu.cycles_per_invocation() as f64;
-        let (cpu_capacity_per_window, capacity_clamped) = self.cpu_capacity_per_window(kernel);
-
-        self.begin_stream();
-        let window = self.config.window;
-        let mut merged = Vec::with_capacity(n * out_dim);
+        let mut merged = vec![0.0; n * out_dim];
         let mut fired = vec![false; n];
         // Rows the CPU executes exactly — checker-fired recoveries plus
         // rows routed to the exact tier; this is what the pipeline overlap
-        // and the energy model's re-execution stream must see.
+        // must see.
         let mut cpu_rows = vec![false; n];
-        let mut fixes = 0usize;
-        let mut out_buf = vec![0.0; out_dim];
         let mut scratch = Scratch::new();
-        let mut tier_out = Matrix::default();
-
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + window).min(n);
-            let bar = self.routing_bar().expect("zoo attached");
-            let zs = self.zoo_state.as_ref().expect("zoo attached");
-            let routes: Vec<usize> =
-                (start..end).map(|i| zs.zoo.route(data.input(i), bar)).collect();
-            let mut approx_rows: Vec<Option<Vec<f64>>> = vec![None; end - start];
-            for t in 0..zs.zoo.len() {
-                let positions: Vec<usize> =
-                    (start..end).filter(|&i| routes[i - start] == t).collect();
-                if positions.is_empty() {
-                    continue;
-                }
-                let mut flat = Vec::with_capacity(positions.len() * in_dim);
-                for &i in &positions {
-                    flat.extend_from_slice(data.input(i));
-                }
-                let view = MatrixView::new(&flat, positions.len(), in_dim);
-                zs.zoo.tier(t).npu.invoke_rows_at(&positions, view, &mut scratch, &mut tier_out)?;
-                for (r, &i) in positions.iter().enumerate() {
-                    approx_rows[i - start] = Some(tier_out.row(r).to_vec());
-                }
-            }
+        let mut approx = Matrix::default();
+        for start in (0..n).step_by(chunk) {
+            let end = (start + chunk).min(n);
+            let inputs = data.inputs_view().rows_range(start, end);
+            let routes = self.route_rows(inputs);
+            let zoo = self.zoo_state.as_ref().map(|zs| &zs.zoo);
+            approximate(
+                &self.npu,
+                zoo,
+                start,
+                inputs,
+                routes.as_deref(),
+                &mut scratch,
+                &mut approx,
+            )?;
             for i in start..end {
-                let tier = routes[i - start];
-                let approx = approx_rows[i - start].as_deref();
-                if approx.is_none() {
-                    cpu_rows[i] = true;
-                }
+                let tier = routes.as_ref().map(|r| r[i - start]);
+                let output = &mut merged[i * out_dim..(i + 1) * out_dim];
                 let outcome =
-                    self.process_routed(kernel, data.input(i), tier, approx, &mut out_buf)?;
-                if outcome.fired {
-                    let pressure =
-                        self.fault_plan.as_ref().map_or(0, |plan| plan.queue_pressure(i));
-                    self.note_queue_depth(1 + pressure);
-                    fired[i] = true;
-                    cpu_rows[i] = true;
-                    fixes += 1;
-                }
-                merged.extend_from_slice(&out_buf);
+                    self.replay(kernel, data.input(i), tier, approx.row(i - start), output);
+                fired[i] = outcome.fired;
+                cpu_rows[i] = outcome.fired || outcome.cpu_routed;
             }
-            start = end;
         }
-        self.flush_window(kernel, cpu_capacity_per_window, capacity_clamped);
+        // Flush the final partial window.
+        self.end_stream(kernel);
 
+        // Measured quality of the merged stream (pure per invocation, so
+        // the scoring also fans out).
+        let metric = kernel.metric();
         let merged_ref = &merged;
         let invocation_errors: Vec<f64> = rumba_parallel::par_map_range(n, |i| {
             metric.invocation_error(data.target(i), &merged_ref[i * out_dim..(i + 1) * out_dim])
@@ -1611,10 +1499,11 @@ impl RumbaSystem {
             }
             _ => 0.0,
         };
-        let pipeline = simulate(n, npu_cycles, cpu_cycles, &cpu_rows);
-        let zs = self.zoo_state.as_ref().expect("zoo attached");
-        let cpu_routed = *zs.stream_tiers.last().expect("tier counts non-empty") as usize;
-        let model_rows = n - cpu_routed;
+        let npu_cycles = self.npu.cycles_per_invocation();
+        let pipeline = simulate(n, npu_cycles as f64, kernel.cpu_cycles(), &cpu_rows);
+        let fixes = self.stream_fixes;
+        let tiers = self.stream_tiers().to_vec();
+        let cpu_routed = tiers.last().map_or(0, |&c| c as usize);
         if rumba_obs::enabled() {
             rumba_obs::global_sink().emit(&rumba_obs::Event::RunSummary {
                 kernel: kernel.name().to_owned(),
@@ -1625,23 +1514,27 @@ impl RumbaSystem {
                 windows: self.windows_flushed,
                 cpu_utilization: pipeline.cpu_utilization,
                 final_threshold: self.tuner.threshold(),
-                tiers: zs.stream_tiers.clone(),
+                tiers,
                 session: self.session_label.clone(),
             });
         }
         // Exact-tier rows cost the CPU what a re-execution costs, but only
         // model-tier rows touch the accelerator, its I/O, or the checker;
-        // the accelerator stream's cycle total is the routed per-tier sum.
+        // with a zoo the accelerator stream's cycle total is the routed
+        // per-tier sum.
         let activity = SchemeActivity {
-            accelerator_invocations: model_rows,
-            npu_cycles_per_invocation: self.npu.cycles_per_invocation(),
+            accelerator_invocations: n - cpu_routed,
+            npu_cycles_per_invocation: npu_cycles,
             io_words_per_invocation: self.npu.input_dim() + self.npu.output_dim(),
-            checker_invocations: model_rows,
+            checker_invocations: n - cpu_routed,
             checker_cost: self.checker.cost(),
             reexecutions: fixes + cpu_routed,
             compensations: self.stream_compensations,
             serial_detector_cycles,
-            tiered_accelerator_cycles: zs.tier_cycles_total,
+            tiered_accelerator_cycles: self
+                .zoo_state
+                .as_ref()
+                .map_or(0.0, |zs| zs.tier_cycles_total),
         };
 
         Ok(RunOutcome {
@@ -1659,6 +1552,59 @@ impl RumbaSystem {
             degrade_stage: self.stage,
         })
     }
+}
+
+/// The pipeline's *approximate* step: the accelerator outputs for a block
+/// of rows whose first row is stream position `base`, one output row per
+/// input row in `out`. Without `routes` this is one batched
+/// [`Npu::invoke_batch_at`] call on `npu`. With per-row tier decisions
+/// (from [`RumbaSystem::route_rows`]) the rows are gathered into one
+/// sub-batch per model tier of `zoo` and run through
+/// [`Npu::invoke_rows_at`], so each tier's SIMD/flat-matrix path still
+/// runs over contiguous rows and every row keeps the bits of a per-row
+/// invocation at its stream position. Rows routed to the exact-CPU tier
+/// are left as they are; the replay computes them exactly.
+///
+/// Pure, and free-standing so the serving scheduler's parallel phase can
+/// call it from `&Npu` / `&ModelZoo` alone.
+///
+/// # Errors
+///
+/// Propagates accelerator dimension errors.
+pub fn approximate(
+    npu: &Npu,
+    zoo: Option<&ModelZoo>,
+    base: usize,
+    inputs: MatrixView<'_>,
+    routes: Option<&[usize]>,
+    scratch: &mut Scratch,
+    out: &mut Matrix,
+) -> std::result::Result<(), NnError> {
+    let (Some(routes), Some(zoo)) = (routes, zoo) else {
+        npu.invoke_batch_at(base, inputs, scratch, out)?;
+        return Ok(());
+    };
+    out.resize(inputs.rows(), npu.output_dim());
+    let mut gathered = Vec::new();
+    let mut positions = Vec::new();
+    let mut tier_out = Matrix::default();
+    for t in 0..zoo.len() {
+        gathered.clear();
+        positions.clear();
+        for (r, _) in routes.iter().enumerate().filter(|&(_, &route)| route == t) {
+            gathered.extend_from_slice(inputs.row(r));
+            positions.push(base + r);
+        }
+        if positions.is_empty() {
+            continue;
+        }
+        let view = MatrixView::new(&gathered, positions.len(), inputs.cols());
+        zoo.tier(t).npu.invoke_rows_at(&positions, view, scratch, &mut tier_out)?;
+        for (g, &position) in positions.iter().enumerate() {
+            out.row_mut(position - base).copy_from_slice(tier_out.row(g));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1807,28 +1753,120 @@ mod tests {
 
     #[test]
     fn streaming_matches_batch_run() {
-        // `run` is built on `process`; an external streaming loop must
-        // reproduce it exactly.
-        let (kernel, mut batch_system, test) =
-            build_system(TuningMode::TargetQuality { toq: 0.95 });
-        let batch = batch_system.run(kernel.as_ref(), &test).unwrap();
+        // `run` and an external `process` loop must agree bit for bit:
+        // single-model, a one-tier zoo, and a three-tier zoo whose tight
+        // budget sends some rows to the exact-CPU tier.
+        use crate::cache::TrainedModelCache;
+        use crate::zoo::train_zoo_with_cache;
 
-        let (_, mut stream_system, _) = build_system(TuningMode::TargetQuality { toq: 0.95 });
-        stream_system.begin_stream();
-        let out_dim = kernel.output_dim();
-        let mut merged = Vec::with_capacity(test.len() * out_dim);
-        let mut buf = vec![0.0; out_dim];
-        let mut fixes = 0usize;
-        for i in 0..test.len() {
-            let outcome = stream_system.process(kernel.as_ref(), test.input(i), &mut buf).unwrap();
-            if outcome.fired {
-                fixes += 1;
+        let kernel = kernel_by_name("gaussian").unwrap();
+        let app = train_app(kernel.as_ref(), &OfflineConfig::default()).unwrap();
+        let zoo = |tiers| {
+            train_zoo_with_cache(
+                kernel.as_ref(),
+                &app,
+                &OfflineConfig::default(),
+                tiers,
+                &TrainedModelCache::disabled(),
+            )
+            .unwrap()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for armed in [None, Some((zoo(1), 0.05)), Some((zoo(3), 0.01))] {
+            let (_, mut batch_system, test) = build_system(TuningMode::TargetQuality { toq: 0.95 });
+            let (_, mut stream_system, _) = build_system(TuningMode::TargetQuality { toq: 0.95 });
+            let tiers = armed.as_ref().map_or(0, |(z, _)| z.len());
+            if let Some((zoo, budget)) = armed {
+                batch_system.attach_zoo(zoo.clone(), budget).unwrap();
+                stream_system.attach_zoo(zoo, budget).unwrap();
             }
-            merged.extend_from_slice(&buf);
+            let batch = batch_system.run(kernel.as_ref(), &test).unwrap();
+
+            stream_system.begin_stream();
+            let out_dim = kernel.output_dim();
+            let mut merged = Vec::with_capacity(test.len() * out_dim);
+            let mut buf = vec![0.0; out_dim];
+            let mut fixes = 0usize;
+            for i in 0..test.len() {
+                let outcome =
+                    stream_system.process(kernel.as_ref(), test.input(i), &mut buf).unwrap();
+                if outcome.fired {
+                    fixes += 1;
+                }
+                merged.extend_from_slice(&buf);
+            }
+            stream_system.end_stream(kernel.as_ref());
+
+            assert_eq!(bits(&merged), bits(&batch.merged_outputs), "zoo={tiers}");
+            assert_eq!(fixes, batch.fixes, "zoo={tiers}");
+            assert_eq!(stream_system.stream_fixes(), batch.fixes, "zoo={tiers}");
+            assert_eq!(stream_system.stream_compensations(), batch.compensated, "zoo={tiers}");
+            assert_eq!(stream_system.stream_tiers(), batch_system.stream_tiers(), "zoo={tiers}");
+            assert_eq!(
+                bits(stream_system.tuner().history()),
+                bits(&batch.threshold_history),
+                "zoo={tiers}"
+            );
+            if tiers == 3 {
+                let counts = batch_system.stream_tiers();
+                assert!(counts[3] > 0, "the tight budget must route some rows to CPU: {counts:?}");
+                assert!(counts[..3].iter().sum::<u64>() > 0, "and some to a model: {counts:?}");
+            }
         }
-        assert_eq!(merged, batch.merged_outputs);
-        assert_eq!(fixes, batch.fixes);
-        assert_eq!(stream_system.stream_fixes(), batch.fixes);
+    }
+
+    #[test]
+    fn run_outcomes_satisfy_the_accounting_identities() {
+        use crate::cache::TrainedModelCache;
+        use crate::zoo::train_zoo_with_cache;
+
+        let kernel = kernel_by_name("gaussian").unwrap();
+        let app = train_app(kernel.as_ref(), &OfflineConfig::default()).unwrap();
+        let test = kernel.generate(Split::Test, 42);
+        let n = test.len();
+        let build = |fix_policy| {
+            RumbaSystem::new(
+                app.rumba_npu.clone(),
+                CheckerUnit::new(Box::new(app.tree.clone())),
+                Tuner::new(TuningMode::TargetQuality { toq: 0.95 }, 0.02).unwrap(),
+                RuntimeConfig { fix_policy, ..RuntimeConfig::default() },
+            )
+            .unwrap()
+        };
+        let single = build(FixPolicy::Reexecute);
+        let compensate = build(FixPolicy::Compensate { band: 0.5 });
+        let mut zoo = build(FixPolicy::Reexecute);
+        let tiers = train_zoo_with_cache(
+            kernel.as_ref(),
+            &app,
+            &OfflineConfig::default(),
+            3,
+            &TrainedModelCache::disabled(),
+        )
+        .unwrap();
+        zoo.attach_zoo(tiers, 0.01).unwrap();
+
+        for (label, mut system) in [("single", single), ("compensate", compensate), ("zoo=3", zoo)]
+        {
+            let outcome = system.run(kernel.as_ref(), &test).unwrap();
+            let counts = system.stream_tiers();
+            let cpu_routed = counts.last().map_or(0, |&c| c as usize);
+            let activity = &outcome.activity;
+            assert_eq!(outcome.fixes, outcome.fired.iter().filter(|&&f| f).count(), "{label}");
+            assert!(outcome.fixes + outcome.compensated + cpu_routed <= n, "{label}");
+            assert_eq!(activity.accelerator_invocations, n - cpu_routed, "{label}");
+            assert_eq!(activity.checker_invocations, n - cpu_routed, "{label}");
+            assert_eq!(activity.reexecutions, outcome.fixes + cpu_routed, "{label}");
+            if system.zoo().is_some() {
+                assert_eq!(counts.iter().sum::<u64>(), n as u64, "{label}: tiers {counts:?}");
+                assert!(cpu_routed > 0, "{label}: the budget must route some rows to CPU");
+            } else {
+                assert!(counts.is_empty(), "{label}");
+            }
+            if label == "compensate" {
+                assert!(outcome.compensated > 0, "band 0.5 must compensate");
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use rumba_core::cache::TrainedModelCache;
 use rumba_core::runtime::{RumbaSystem, RunOutcome, RuntimeConfig};
 use rumba_core::trainer::{nn_params_for, train_app, train_app_with_cache, OfflineConfig};
 use rumba_core::tuner::{calibrate_threshold, calibrate_threshold_detailed, Tuner, TuningMode};
+use rumba_faults::{FaultModel, FaultPlan};
 use rumba_obs::{Event, MemorySink, NullSink};
 use rumba_predict::ErrorEstimator;
 
@@ -31,6 +32,13 @@ fn with_memory_sink<R>(f: impl FnOnce() -> R) -> (Vec<Event>, R) {
 }
 
 fn build_system(mode: TuningMode) -> (Box<dyn rumba_apps::Kernel>, RumbaSystem) {
+    build_system_with(mode, RuntimeConfig::default())
+}
+
+fn build_system_with(
+    mode: TuningMode,
+    config: RuntimeConfig,
+) -> (Box<dyn rumba_apps::Kernel>, RumbaSystem) {
     let kernel = kernel_by_name("gaussian").unwrap();
     let app = train_app(kernel.as_ref(), &OfflineConfig::default()).unwrap();
     let train = kernel.generate(Split::Train, 42);
@@ -42,7 +50,7 @@ fn build_system(mode: TuningMode) -> (Box<dyn rumba_apps::Kernel>, RumbaSystem) 
         app.rumba_npu.clone(),
         CheckerUnit::new(Box::new(app.tree)),
         Tuner::new(mode, threshold).unwrap(),
-        RuntimeConfig::default(),
+        config,
     )
     .unwrap();
     (kernel, system)
@@ -95,6 +103,74 @@ fn run_emits_one_window_end_per_window_and_accounts_every_fix() {
     for event in &events {
         assert_eq!(&Event::parse(&event.to_jsonl()).unwrap(), event);
     }
+}
+
+#[test]
+fn queue_depth_lands_in_the_window_of_the_row_that_fired() {
+    // Best-quality mode fires up to the CPU's capacity in every short
+    // window, so some windows end on a fired row. Queue pressure switches
+    // on at the first such row: its depth (4) is then the only one of its
+    // window above 1, and it used to land in the next window instead (or
+    // nowhere, for streaming callers).
+    let config = RuntimeConfig { window: 16, ..RuntimeConfig::default() };
+    let mode = TuningMode::BestQuality;
+    let (kernel, mut probe) = build_system_with(mode, config);
+    let (_, mut batch) = build_system_with(mode, config);
+    let (_, mut stream) = build_system_with(mode, config);
+    let test = kernel.generate(Split::Test, 42);
+    // Queue pressure is telemetry only, so a plan-free probe run fires
+    // the same rows.
+    let (_, probed) = with_memory_sink(|| probe.run(kernel.as_ref(), &test).unwrap());
+    let start = probed
+        .fired
+        .chunks(config.window)
+        .position(|rows| rows.last() == Some(&true))
+        .map(|w| (w + 1) * config.window - 1)
+        .expect("some window must end on a fired row");
+    let plan = FaultPlan::new(5).with(FaultModel::QueuePressure { start, slots: 3 });
+    for system in [&mut batch, &mut stream] {
+        system.set_fault_plan(Some(plan.clone()));
+        // Other tests in this binary run outside the lock; the label
+        // keeps their events out of the comparison.
+        system.set_session_label("queue-depth");
+    }
+    let windows_of = |events: Vec<Event>| -> Vec<Event> {
+        events
+            .into_iter()
+            .filter(|e| matches!(e, Event::WindowEnd { session, .. } if session == "queue-depth"))
+            .collect()
+    };
+
+    let (events, outcome) = with_memory_sink(|| batch.run(kernel.as_ref(), &test).unwrap());
+    assert_eq!(outcome.fired, probed.fired);
+    let batch_windows = windows_of(events);
+    let (events, ()) = with_memory_sink(|| {
+        stream.begin_stream();
+        let mut out = vec![0.0; kernel.output_dim()];
+        for i in 0..test.len() {
+            stream.process(kernel.as_ref(), test.input(i), &mut out).unwrap();
+        }
+        stream.end_stream(kernel.as_ref());
+    });
+    let stream_windows = windows_of(events);
+
+    let depth = |e: &Event| match e {
+        Event::WindowEnd { queue_depth_max, .. } => *queue_depth_max,
+        _ => unreachable!(),
+    };
+    assert_eq!(batch_windows.len(), test.len().div_ceil(config.window));
+    assert_eq!(depth(&batch_windows[start / config.window]), 4, "the fired last row's depth");
+    for (w, rows) in outcome.fired.chunks(config.window).enumerate() {
+        let expected = rows
+            .iter()
+            .enumerate()
+            .filter(|&(_, &fired)| fired)
+            .map(|(r, _)| 1 + plan.queue_pressure(w * config.window + r) as u64)
+            .max()
+            .unwrap_or(0);
+        assert_eq!(depth(&batch_windows[w]), expected, "window {w}");
+    }
+    assert_eq!(stream_windows, batch_windows, "run and process must agree");
 }
 
 #[test]

@@ -5,16 +5,13 @@
 //! stream is the conformance artifact (`ci/serve_trace.golden`): every
 //! float in it is shortest-round-trip formatted, so a byte-diff against
 //! the golden file is a bitwise conformance check of the whole serving
-//! layer at any thread count.
-//!
-//! [`bench_report`] additionally sweeps the tenant count and reports
-//! wall-clock throughput plus tail queue depth (`BENCH_serve.json`);
-//! timing is intentionally kept out of the golden trace.
+//! layer at any thread count. [`run_net_trace`] replays the same schedule
+//! over real TCP (`ci/serve_net.golden`). Timing is kept out of both; the
+//! repository's benchmark of record lives in `perfbench/`.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Instant;
 
 use rumba_apps::{kernel_by_name, Split};
 use rumba_obs::json::JsonWriter;
@@ -53,21 +50,6 @@ pub struct TraceStats {
     pub shed: u64,
     /// Requests that forced a blocking drain.
     pub blocked: u64,
-    /// Queue depth sampled after every submission, in order.
-    pub depth_samples: Vec<u64>,
-}
-
-impl TraceStats {
-    /// p99 of the sampled queue depths (0 when nothing was sampled).
-    #[must_use]
-    pub fn p99_queue_depth(&self) -> u64 {
-        if self.depth_samples.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.depth_samples.clone();
-        sorted.sort_unstable();
-        sorted[(sorted.len() - 1) * 99 / 100]
-    }
 }
 
 fn splitmix(mut x: u64) -> u64 {
@@ -159,10 +141,6 @@ pub fn run_trace(cfg: BenchConfig) -> Result<(String, TraceStats), ServeError> {
         let (lines, _) = handle_line(&mut rt, &invoke_line(tenant, dataset.input(row)));
         emit(&mut trace, lines);
         stats.submitted += 1;
-        let name = format!("tenant-{tenant}");
-        if let Some(session) = rt.session(&name) {
-            stats.depth_samples.push(session.queue_depth() as u64);
-        }
         // Multiplexed scheduling round every nine submissions — slow
         // enough that bursts fill the smaller tenant queues, so shed and
         // block admission both appear in the conformance trace — plus a
@@ -330,138 +308,6 @@ pub fn run_net_trace(cfg: BenchConfig, shards: usize) -> Result<String, ServeErr
     Ok(trace)
 }
 
-/// One measured point of the shard-scaling sweep: `clients` concurrent
-/// TCP connections, each driving its own disjoint tenant set against a
-/// `shards`-shard server.
-#[derive(Debug, Clone, Copy)]
-struct NetPoint {
-    shards: usize,
-    clients: usize,
-    submitted: u64,
-    secs: f64,
-}
-
-/// Drives `clients` concurrent connections (client `c` owns the tenants
-/// with `t % clients == c`) and measures wall-clock throughput. Unlike
-/// [`run_net_trace`], clients run freely in parallel — this is the perf
-/// number, not a conformance artifact.
-fn run_net_workload(
-    cfg: BenchConfig,
-    shards: usize,
-    clients: usize,
-) -> Result<NetPoint, ServeError> {
-    let tenants = cfg.tenants.max(clients);
-    let server = NetServer::bind_tcp("127.0.0.1:0", shards).map_err(net_io)?;
-    let addr = server.addr().to_owned();
-    let start = Instant::now();
-    let submitted: u64 = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let addr = addr.clone();
-                scope.spawn(move || -> Result<u64, ServeError> {
-                    let kernel = kernel_by_name("gaussian")
-                        .ok_or_else(|| ServeError::UnknownKernel("gaussian".to_owned()))?;
-                    let dataset = kernel.generate(Split::Test, cfg.seed);
-                    let n = dataset.len().max(1);
-                    let mut client = NetClient::connect(&addr).map_err(net_io)?;
-                    let mut submitted = 0u64;
-                    for t in (c..tenants).step_by(clients) {
-                        client.request(&open_line(t, cfg.seed), "open").map_err(net_io)?;
-                        for r in 0..cfg.requests {
-                            let row = (t * 997 + r) % n;
-                            client
-                                .request(&invoke_line(t, dataset.input(row)), "invoke")
-                                .map_err(net_io)?;
-                            submitted += 1;
-                            if r % 8 == 7 {
-                                let drain =
-                                    format!("{{\"op\":\"drain\",\"session\":\"tenant-{t}\"}}");
-                                client.request(&drain, "drain").map_err(net_io)?;
-                            }
-                        }
-                        let close = format!("{{\"op\":\"close\",\"session\":\"tenant-{t}\"}}");
-                        client.request(&close, "close").map_err(net_io)?;
-                    }
-                    Ok(submitted)
-                })
-            })
-            .collect();
-        let mut total = 0u64;
-        for handle in handles {
-            total += handle
-                .join()
-                .map_err(|_| ServeError::Runtime("net bench client panicked".to_owned()))??;
-        }
-        Ok::<u64, ServeError>(total)
-    })?;
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    let mut control = NetClient::connect(&addr).map_err(net_io)?;
-    control.request("{\"op\":\"shutdown\"}", "shutdown").map_err(net_io)?;
-    drop(control);
-    server.join().map_err(net_io)?;
-    Ok(NetPoint { shards, clients, submitted, secs })
-}
-
-/// Sweeps the tenant count from 1 to `cfg.tenants` and reports wall-clock
-/// throughput and p99 queue depth per point, then sweeps shard × client
-/// counts over real TCP (the shard-scaling series) — the
-/// `BENCH_serve.json` payload. The execution environment (worker threads,
-/// dispatched SIMD ISA) is recorded alongside, mirroring
-/// `BENCH_matrix.json`. Never golden-gated (it contains timing).
-///
-/// # Errors
-///
-/// Propagates [`run_trace`] and network failures.
-pub fn bench_report(cfg: BenchConfig) -> Result<String, ServeError> {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"bench\":\"serve\",\"seed\":{},\"requests_per_tenant\":{},\
-         \"threads\":{},\"simd_isa\":\"{}\",\"points\":[",
-        cfg.seed,
-        cfg.requests,
-        rumba_parallel::max_threads(),
-        rumba_nn::active_isa().name()
-    );
-    for tenants in 1..=cfg.tenants.max(1) {
-        let point = BenchConfig { tenants, ..cfg };
-        let start = Instant::now();
-        let (_, stats) = run_trace(point)?;
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        let throughput = stats.submitted as f64 / secs;
-        if tenants > 1 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"tenants\":{tenants},\"throughput_rps\":{throughput:.1},\
-             \"p99_queue_depth\":{},\"processed\":{},\"shed\":{},\"blocked\":{}}}",
-            stats.p99_queue_depth(),
-            stats.processed,
-            stats.shed,
-            stats.blocked
-        );
-    }
-    out.push_str("],\"net_points\":[");
-    let sweep = [(1usize, 1usize), (1, 4), (2, 4), (4, 4)];
-    for (i, &(shards, clients)) in sweep.iter().enumerate() {
-        let point = run_net_workload(cfg, shards, clients)?;
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"shards\":{},\"clients\":{},\"submitted\":{},\"throughput_rps\":{:.1}}}",
-            point.shards,
-            point.clients,
-            point.submitted,
-            point.submitted as f64 / point.secs
-        );
-    }
-    out.push_str("]}");
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,13 +355,5 @@ mod tests {
                 });
             assert_eq!(stripped, solo, "shards={shards}");
         }
-    }
-
-    #[test]
-    fn bench_report_sweeps_tenant_counts() {
-        let report = bench_report(BenchConfig { seed: 3, tenants: 2, requests: 4 }).unwrap();
-        assert!(report.starts_with("{\"bench\":\"serve\""), "{report}");
-        assert!(report.contains("\"tenants\":1"), "{report}");
-        assert!(report.contains("\"tenants\":2"), "{report}");
     }
 }

@@ -1,12 +1,11 @@
 //! Session registry and the deterministic multi-tenant batch scheduler.
 
 use rumba_accel::Npu;
+use rumba_core::runtime::approximate;
 use rumba_core::zoo::ModelZoo;
 use rumba_nn::{Matrix, NnError, Scratch};
 
-use crate::session::{
-    compute_batch, Admit, PendingBatch, Session, SessionConfig, SessionResult, SessionStats,
-};
+use crate::session::{Admit, PendingBatch, Session, SessionConfig, SessionResult, SessionStats};
 use crate::ServeError;
 
 /// Outcome of [`ServeRuntime::submit`].
@@ -40,8 +39,8 @@ pub enum Submit {
 ///    fault.
 /// 2. **Serial replay** — the stateful decision path (checker, threshold,
 ///    recovery, tuning, telemetry) runs serially in session-open order
-///    via the same `process_approx` path a solo stream uses. Threads only
-///    ever touch the pure phase.
+///    via the same [`rumba_core::runtime::RumbaSystem::replay`] step a
+///    solo stream uses. Threads only ever touch the pure phase.
 #[derive(Debug, Default)]
 pub struct ServeRuntime {
     sessions: Vec<Session>,
@@ -200,13 +199,15 @@ impl ServeRuntime {
                 let (npu, zoo, input_dim) = metas[j];
                 let mut scratch = Scratch::new();
                 let mut out = Matrix::default();
-                compute_batch(npu, zoo, input_dim, batch, &mut scratch, &mut out).map(|()| out)
+                let (base, inputs, routes) = (batch.base, batch.view(input_dim), &batch.routes);
+                approximate(npu, zoo, base, inputs, routes.as_deref(), &mut scratch, &mut out)
+                    .map(|()| out)
             })
         };
 
         // Phase 3: serial stateful replay, in session-open order.
         for ((i, batch), out) in jobs.into_iter().zip(outputs) {
-            self.sessions[i].absorb(batch, out?)?;
+            self.sessions[i].absorb(batch, out?);
         }
         Ok(())
     }

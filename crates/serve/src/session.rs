@@ -7,12 +7,14 @@ use rumba_accel::{CheckerUnit, Npu};
 use rumba_apps::{kernel_by_name, Kernel, Split};
 use rumba_core::event_sim::{simulate_detailed_with_faults, QueueConfig};
 use rumba_core::runtime::MAX_ZOO_PRESSURE;
-use rumba_core::runtime::{FixPolicy, RefitConfig, RumbaSystem, RuntimeConfig, WatchdogConfig};
+use rumba_core::runtime::{
+    approximate, FixPolicy, RefitConfig, RumbaSystem, RuntimeConfig, WatchdogConfig,
+};
 use rumba_core::trainer::{invocation_errors, train_app, OfflineConfig, TrainedApp};
 use rumba_core::tuner::{calibrate_threshold, Tuner, TuningMode};
 use rumba_core::zoo::{train_zoo, ModelZoo};
 use rumba_faults::FaultPlan;
-use rumba_nn::{Matrix, MatrixView, NnDataset, NnError, Scratch};
+use rumba_nn::{Matrix, MatrixView, NnDataset, Scratch};
 use rumba_obs::Event;
 use rumba_predict::{EmaDetector, ErrorEstimator};
 
@@ -272,53 +274,11 @@ pub(crate) struct PendingBatch {
     pub(crate) routes: Option<Vec<usize>>,
 }
 
-/// Pure accelerator compute for one pending batch. Free-standing (rather
-/// than a `Session` method) so the scheduler's parallel phase can run it
-/// from `&Npu` / `&ModelZoo` alone — `Session` itself is deliberately not
-/// `Sync`.
-///
-/// A routed batch is grouped into per-tier sub-batches so each tier's
-/// SIMD/flat-matrix path still runs over contiguous gathered rows; rows
-/// routed to the exact-CPU tier are left zeroed (the serial replay
-/// computes them exactly).
-pub(crate) fn compute_batch(
-    npu: &Npu,
-    zoo: Option<&ModelZoo>,
-    input_dim: usize,
-    batch: &PendingBatch,
-    scratch: &mut Scratch,
-    out: &mut Matrix,
-) -> Result<(), NnError> {
-    let (Some(routes), Some(zoo)) = (&batch.routes, zoo) else {
-        let view = MatrixView::new(&batch.inputs, batch.rows, input_dim);
-        npu.invoke_batch_at(batch.base, view, scratch, out)?;
-        return Ok(());
-    };
-    out.resize(batch.rows, npu.output_dim());
-    let mut gathered = Vec::new();
-    let mut positions = Vec::new();
-    let mut tier_out = Matrix::default();
-    for t in 0..zoo.len() {
-        gathered.clear();
-        positions.clear();
-        let mut local_rows = Vec::new();
-        for (r, &route) in routes.iter().enumerate() {
-            if route == t {
-                gathered.extend_from_slice(&batch.inputs[r * input_dim..(r + 1) * input_dim]);
-                positions.push(batch.base + r);
-                local_rows.push(r);
-            }
-        }
-        if positions.is_empty() {
-            continue;
-        }
-        let view = MatrixView::new(&gathered, positions.len(), input_dim);
-        zoo.tier(t).npu.invoke_rows_at(&positions, view, scratch, &mut tier_out)?;
-        for (g, &r) in local_rows.iter().enumerate() {
-            out.row_mut(r).copy_from_slice(tier_out.row(g));
-        }
+impl PendingBatch {
+    /// The queued inputs as a `rows × input_dim` matrix view.
+    pub(crate) fn view(&self, input_dim: usize) -> MatrixView<'_> {
+        MatrixView::new(&self.inputs, self.rows, input_dim)
     }
-    Ok(())
 }
 
 /// One tenant: calibrated pipeline, bounded request queue, completed
@@ -824,22 +784,16 @@ impl Session {
         if self.pending_rows == 0 {
             return None;
         }
-        let dim = self.kernel.input_dim();
-        // Route the whole batch serially at the drain-time bar (which only
-        // moves at window flushes and pressure changes), before any
-        // parallel compute sees it.
-        let routes = self.system.routing_bar().map(|bar| {
-            let zoo = self.system.zoo().expect("a routing bar implies an attached zoo");
-            (0..self.pending_rows)
-                .map(|r| zoo.route(&self.pending_inputs[r * dim..(r + 1) * dim], bar))
-                .collect()
-        });
-        let batch = PendingBatch {
+        let mut batch = PendingBatch {
             base: self.system.stream_invocations(),
             rows: self.pending_rows,
             inputs: std::mem::take(&mut self.pending_inputs),
-            routes,
+            routes: None,
         };
+        // Route the whole batch serially at the drain-time bar (which only
+        // moves at window flushes and pressure changes), before any
+        // parallel compute sees it.
+        batch.routes = self.system.route_rows(batch.view(self.kernel.input_dim()));
         self.pending_rows = 0;
         Some(batch)
     }
@@ -848,43 +802,19 @@ impl Session {
     /// checker, threshold, recovery, merge, window tuning — in arrival
     /// order, exactly as a solo stream would, and accounts the drain's
     /// event-level pipeline timing.
-    pub(crate) fn absorb(
-        &mut self,
-        batch: PendingBatch,
-        approx: Matrix,
-    ) -> Result<usize, ServeError> {
+    pub(crate) fn absorb(&mut self, batch: PendingBatch, approx: Matrix) -> usize {
         let dim = self.kernel.input_dim();
         let out_dim = self.kernel.output_dim();
         let metric = self.kernel.metric();
-        let routes = batch.routes.as_deref();
-        let model_tiers = self.system.zoo().map_or(usize::MAX, rumba_core::zoo::ModelZoo::len);
         let mut fired = vec![false; batch.rows];
         for (i, fired_slot) in fired.iter_mut().enumerate() {
             let input = &batch.inputs[i * dim..(i + 1) * dim];
-            let outcome = match routes {
-                Some(routes) => {
-                    let tier = routes[i];
-                    // CPU-routed rows carry no precomputed approximation;
-                    // the runtime computes them exactly in the replay.
-                    let approx_row = (tier < model_tiers).then(|| approx.row(i));
-                    self.system.process_routed(
-                        &*self.kernel,
-                        input,
-                        tier,
-                        approx_row,
-                        &mut self.out_buf,
-                    )?
-                }
-                None => self.system.process_approx(
-                    &*self.kernel,
-                    input,
-                    approx.row(i),
-                    &mut self.out_buf,
-                )?,
-            };
+            let tier = batch.routes.as_ref().map(|r| r[i]);
+            let outcome =
+                self.system.replay(&*self.kernel, input, tier, approx.row(i), &mut self.out_buf);
             // CPU-routed rows occupy the CPU lane of the drain's pipeline
             // simulation exactly like a fired re-execution does.
-            *fired_slot = outcome.fired || routes.is_some_and(|r| r[i] == model_tiers);
+            *fired_slot = outcome.fired || outcome.cpu_routed;
             // Fired (re-executed, never compensated) and CPU-routed rows
             // already hold the exact result; the kernel is pure, so the
             // oracle reuses it instead of computing it a second time.
@@ -925,8 +855,9 @@ impl Session {
         self.stats.cpu_busy_cycles += run.cpu_busy_cycles;
 
         // Under-capacity drains release queue-pressure degradation one
-        // rung at a time, the inverse of the full-queue raise.
-        if routes.is_some() && batch.rows * 2 < self.effective_capacity() {
+        // rung at a time, the inverse of the full-queue raise (a no-op
+        // without a zoo).
+        if batch.rows * 2 < self.effective_capacity() {
             let rung = self.system.zoo_pressure();
             self.system.set_zoo_pressure(rung.saturating_sub(1));
         }
@@ -937,7 +868,7 @@ impl Session {
             self.pending_inputs.clear();
         }
         self.batch_out = approx;
-        Ok(batch.rows)
+        batch.rows
     }
 
     /// Drains this session's queue through the pipeline serially (the
@@ -950,11 +881,16 @@ impl Session {
     pub fn drain(&mut self) -> Result<usize, ServeError> {
         let Some(batch) = self.take_pending() else { return Ok(0) };
         let mut out = std::mem::take(&mut self.batch_out);
-        {
-            let (scratch, npu, zoo) = (&mut self.scratch, self.system.npu(), self.system.zoo());
-            compute_batch(npu, zoo, self.kernel.input_dim(), &batch, scratch, &mut out)?;
-        }
-        self.absorb(batch, out)
+        approximate(
+            self.system.npu(),
+            self.system.zoo(),
+            batch.base,
+            batch.view(self.kernel.input_dim()),
+            batch.routes.as_deref(),
+            &mut self.scratch,
+            &mut out,
+        )?;
+        Ok(self.absorb(batch, out))
     }
 
     /// Collects all completed results in submission order.
