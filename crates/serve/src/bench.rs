@@ -94,35 +94,24 @@ fn invoke_line(tenant: usize, input: &[f64]) -> String {
     w.finish().replacen("\"type\":\"request\",", "", 1)
 }
 
-/// Replays the seeded workload through the protocol layer, appending every
-/// response line to the returned trace.
-///
-/// # Errors
-///
-/// Fails only if a tenant cannot be opened (trace-level errors surface as
-/// `error` response lines instead, so they land in the golden diff).
-pub fn run_trace(cfg: BenchConfig) -> Result<(String, TraceStats), ServeError> {
+/// Drives the seeded workload: opens every tenant, submits the shuffled
+/// request schedule with periodic drains, then queries stats and shuts
+/// down. `send(client, line, op)` delivers one request for the named
+/// client (global ops go through client 0) and returns its responses.
+fn drive_workload(
+    cfg: BenchConfig,
+    mut send: impl FnMut(usize, &str, &str) -> Result<Vec<String>, ServeError>,
+) -> Result<(), ServeError> {
     let kernel = kernel_by_name("gaussian")
         .ok_or_else(|| ServeError::UnknownKernel("gaussian".to_owned()))?;
     let dataset = kernel.generate(Split::Test, cfg.seed);
     let n = dataset.len();
 
-    let mut rt = ServeRuntime::new();
-    let mut trace = String::new();
-    let mut stats = TraceStats::default();
-    let emit = |trace: &mut String, lines: Vec<String>| {
-        for line in lines {
-            trace.push_str(&line);
-            trace.push('\n');
-        }
-    };
-
     for t in 0..cfg.tenants {
-        let (lines, _) = handle_line(&mut rt, &open_line(t, cfg.seed));
+        let lines = send(t, &open_line(t, cfg.seed), "open")?;
         if lines.first().is_some_and(|l| l.starts_with("{\"type\":\"error\"")) {
             return Err(ServeError::InvalidConfig(lines[0].clone()));
         }
-        emit(&mut trace, lines);
     }
 
     // Deterministic interleave: each tenant appears exactly `requests`
@@ -138,44 +127,61 @@ pub fn run_trace(cfg: BenchConfig) -> Result<(String, TraceStats), ServeError> {
     for (step, &tenant) in schedule.iter().enumerate() {
         let row = (tenant * 997 + next_row[tenant]) % n.max(1);
         next_row[tenant] += 1;
-        let (lines, _) = handle_line(&mut rt, &invoke_line(tenant, dataset.input(row)));
-        emit(&mut trace, lines);
-        stats.submitted += 1;
+        send(tenant, &invoke_line(tenant, dataset.input(row)), "invoke")?;
         // Multiplexed scheduling round every nine submissions — slow
         // enough that bursts fill the smaller tenant queues, so shed and
         // block admission both appear in the conformance trace — plus a
         // solo drain of tenant 0 on a coprime cadence so both scheduler
         // paths stay covered.
         if step % 9 == 8 {
-            let (lines, _) = handle_line(&mut rt, "{\"op\":\"drain\"}");
-            emit(&mut trace, lines);
+            send(0, "{\"op\":\"drain\"}", "drain")?;
         } else if step % 13 == 12 {
-            let (lines, _) = handle_line(&mut rt, "{\"op\":\"drain\",\"session\":\"tenant-0\"}");
-            emit(&mut trace, lines);
+            send(0, "{\"op\":\"drain\",\"session\":\"tenant-0\"}", "drain")?;
         }
     }
 
     for t in 0..cfg.tenants {
-        let line = format!("{{\"op\":\"stats\",\"session\":\"tenant-{t}\"}}");
-        let (lines, _) = handle_line(&mut rt, &line);
-        emit(&mut trace, lines);
-        if let Some(session) = rt.session(&format!("tenant-{t}")) {
-            let s = session.stats();
-            stats.processed += s.processed;
-            stats.shed += s.shed;
-            stats.blocked += s.blocked;
-        }
+        send(t, &format!("{{\"op\":\"stats\",\"session\":\"tenant-{t}\"}}"), "stats")?;
     }
-    // Shutdown drains the remainder; fold those into `processed` so the
-    // side-channel counters match the closed lines in the trace.
-    let queued: u64 = (0..cfg.tenants)
-        .filter_map(|t| rt.session(&format!("tenant-{t}")))
-        .map(|s| s.queue_depth() as u64)
-        .sum();
-    stats.processed += queued;
-    let (lines, _) = handle_line(&mut rt, "{\"op\":\"shutdown\"}");
-    emit(&mut trace, lines);
+    send(0, "{\"op\":\"shutdown\"}", "shutdown")?;
+    Ok(())
+}
 
+/// Replays the seeded workload through the protocol layer, appending every
+/// response line to the returned trace.
+///
+/// # Errors
+///
+/// Fails only if a tenant cannot be opened (trace-level errors surface as
+/// `error` response lines instead, so they land in the golden diff).
+pub fn run_trace(cfg: BenchConfig) -> Result<(String, TraceStats), ServeError> {
+    let mut rt = ServeRuntime::new();
+    let mut trace = String::new();
+    let mut stats = TraceStats::default();
+    drive_workload(cfg, |_, line, op| {
+        match op {
+            "invoke" => stats.submitted += 1,
+            // Shutdown drains the remainder; fold those into `processed`
+            // so the side-channel counters match the closed lines.
+            "shutdown" => {
+                for t in 0..cfg.tenants {
+                    if let Some(session) = rt.session(&format!("tenant-{t}")) {
+                        let s = session.stats();
+                        stats.processed += s.processed + session.queue_depth() as u64;
+                        stats.shed += s.shed;
+                        stats.blocked += s.blocked;
+                    }
+                }
+            }
+            _ => {}
+        }
+        let (lines, _) = handle_line(&mut rt, line);
+        for line in &lines {
+            trace.push_str(line);
+            trace.push('\n');
+        }
+        Ok(lines)
+    })?;
     Ok((trace, stats))
 }
 
@@ -202,8 +208,9 @@ impl NetClient {
     /// op's terminal line (route-level failures answer with a single
     /// `error` line instead).
     fn request(&mut self, line: &str, op: &str) -> std::io::Result<Vec<String>> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        // One write per request: the socket has Nagle off, so `writeln!`
+        // would send the line and its newline as two segments.
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         let mut lines: Vec<String> = Vec::new();
         loop {
             let mut buf = String::new();
@@ -242,11 +249,6 @@ fn net_io(e: std::io::Error) -> ServeError {
 ///
 /// Fails on connection errors or when a tenant cannot be opened.
 pub fn run_net_trace(cfg: BenchConfig, shards: usize) -> Result<String, ServeError> {
-    let kernel = kernel_by_name("gaussian")
-        .ok_or_else(|| ServeError::UnknownKernel("gaussian".to_owned()))?;
-    let dataset = kernel.generate(Split::Test, cfg.seed);
-    let n = dataset.len();
-
     let server = NetServer::bind_tcp("127.0.0.1:0", shards).map_err(net_io)?;
     let addr = server.addr().to_owned();
     let mut clients: Vec<NetClient> = Vec::with_capacity(cfg.tenants);
@@ -255,53 +257,13 @@ pub fn run_net_trace(cfg: BenchConfig, shards: usize) -> Result<String, ServeErr
     }
 
     let mut trace = String::new();
-    let emit = |trace: &mut String, client: usize, lines: &[String]| {
-        for line in lines {
+    drive_workload(cfg, |client, line, op| {
+        let lines = clients[client].request(line, op).map_err(net_io)?;
+        for line in &lines {
             let _ = writeln!(trace, "[c{client}] {line}");
         }
-    };
-
-    for (t, client) in clients.iter_mut().enumerate().take(cfg.tenants) {
-        let lines = client.request(&open_line(t, cfg.seed), "open").map_err(net_io)?;
-        if lines.first().is_some_and(|l| l.starts_with("{\"type\":\"error\"")) {
-            return Err(ServeError::InvalidConfig(lines[0].clone()));
-        }
-        emit(&mut trace, t, &lines);
-    }
-
-    let mut schedule: Vec<usize> =
-        (0..cfg.tenants * cfg.requests).map(|i| i % cfg.tenants).collect();
-    for i in (1..schedule.len()).rev() {
-        let j = (splitmix(cfg.seed ^ (i as u64).wrapping_mul(0x9E37)) % (i as u64 + 1)) as usize;
-        schedule.swap(i, j);
-    }
-
-    let mut next_row = vec![0usize; cfg.tenants];
-    for (step, &tenant) in schedule.iter().enumerate() {
-        let row = (tenant * 997 + next_row[tenant]) % n.max(1);
-        next_row[tenant] += 1;
-        let lines = clients[tenant]
-            .request(&invoke_line(tenant, dataset.input(row)), "invoke")
-            .map_err(net_io)?;
-        emit(&mut trace, tenant, &lines);
-        if step % 9 == 8 {
-            let lines = clients[0].request("{\"op\":\"drain\"}", "drain").map_err(net_io)?;
-            emit(&mut trace, 0, &lines);
-        } else if step % 13 == 12 {
-            let lines = clients[0]
-                .request("{\"op\":\"drain\",\"session\":\"tenant-0\"}", "drain")
-                .map_err(net_io)?;
-            emit(&mut trace, 0, &lines);
-        }
-    }
-
-    for (t, client) in clients.iter_mut().enumerate().take(cfg.tenants) {
-        let line = format!("{{\"op\":\"stats\",\"session\":\"tenant-{t}\"}}");
-        let lines = client.request(&line, "stats").map_err(net_io)?;
-        emit(&mut trace, t, &lines);
-    }
-    let lines = clients[0].request("{\"op\":\"shutdown\"}", "shutdown").map_err(net_io)?;
-    emit(&mut trace, 0, &lines);
+        Ok(lines)
+    })?;
 
     drop(clients);
     server.join().map_err(net_io)?;

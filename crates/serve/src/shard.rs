@@ -9,10 +9,11 @@
 //! which is what lets a snapshot restored under the same name land on
 //! the same shard (and one restored under a new name migrate).
 //!
-//! The [`Router`] is the only shared object: it parses just enough of
-//! each request line to pick a shard, forwards the raw line, and blocks
-//! on the reply — so a connection observes its own requests in order
-//! while different connections proceed in parallel on different shards.
+//! The [`Router`] is the only shared object: it parses each request line
+//! once, picks the shard from the parsed `session`, hands the parsed
+//! request to that shard, and blocks on the reply — so a connection
+//! observes its own requests in order while different connections
+//! proceed in parallel on different shards. Shards never see raw lines.
 //! The two global operations are handled here instead of in a shard:
 //!
 //! - **global `drain`** broadcasts to every shard and reorders the
@@ -27,10 +28,10 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
 
-use rumba_obs::json::{parse_object, ObjectExt};
+use rumba_obs::json::{JsonObject, ObjectExt};
 use rumba_obs::Event;
 
-use crate::protocol::{closed_line, error_line, handle_line, result_line};
+use crate::protocol::{closed_line, error_line, handle_request, parse_request, result_line};
 use crate::registry::ServeRuntime;
 
 /// Which shard owns a session: FNV-1a over the session name, mod the
@@ -51,9 +52,9 @@ pub fn shard_of(session: &str, shards: usize) -> usize {
 type Groups = Vec<(String, Vec<String>)>;
 
 enum ShardMsg {
-    /// One protocol request line for a session this shard owns (or a
+    /// One parsed protocol request for a session this shard owns (or a
     /// sessionless single-line op; those are shard-independent).
-    Line { line: String, reply: Sender<Vec<String>> },
+    Request { op: String, obj: JsonObject, reply: Sender<Vec<String>> },
     /// Global drain: run one multiplexed scheduling round over this
     /// shard's sessions and return their result lines, grouped.
     DrainAll { reply: Sender<Groups> },
@@ -75,8 +76,8 @@ fn shard_loop(index: u64, rx: &Receiver<ShardMsg>) {
     while let Ok(msg) = rx.recv() {
         requests += 1;
         match msg {
-            ShardMsg::Line { line, reply } => {
-                let (lines, _) = handle_line(&mut rt, &line);
+            ShardMsg::Request { op, obj, reply } => {
+                let (lines, _) = handle_request(&mut rt, &op, &obj);
                 let _ = reply.send(lines);
             }
             ShardMsg::DrainAll { reply } => {
@@ -174,19 +175,20 @@ impl Router {
         self.closed.load(Ordering::Acquire)
     }
 
-    /// Routes one request line and returns its response lines, in order.
-    /// Blocks until the owning shard has processed the request, so each
-    /// connection sees its own requests answered strictly in order.
+    /// Routes one request line and returns its response lines, in order:
+    /// byte for byte what [`crate::protocol::handle_line`] answers on a
+    /// solo runtime. The line is parsed here, once; an unparsable line is
+    /// answered here, and any other request goes to its shard already
+    /// parsed. Blocks until the owning shard has processed the request,
+    /// so each connection sees its own requests answered strictly in
+    /// order.
     pub fn route(&self, line: &str) -> Vec<String> {
         if self.is_closed() {
             return vec![error_line("route", "server is shutting down")];
         }
-        let obj = match parse_object(line) {
-            Ok(obj) => obj,
-            Err(msg) => return vec![error_line("parse", &msg)],
-        };
-        let Some(op) = obj.string("op").map(str::to_owned) else {
-            return vec![error_line("none", "request is missing the \"op\" field")];
+        let (op, obj) = match parse_request(line) {
+            Ok(request) => request,
+            Err(error) => return vec![error],
         };
         let session = obj.string("session").filter(|s| !s.is_empty()).map(str::to_owned);
         match (op.as_str(), &session) {
@@ -198,7 +200,7 @@ impl Router {
                 // shard 0 answers them.
                 let shard = session.as_deref().map_or(0, |s| shard_of(s, self.senders.len()));
                 let (tx, rx) = channel();
-                let msg = ShardMsg::Line { line: line.to_owned(), reply: tx };
+                let msg = ShardMsg::Request { op: op.clone(), obj, reply: tx };
                 if self.senders[shard].send(msg).is_err() {
                     return vec![error_line(&op, "server is shutting down")];
                 }
