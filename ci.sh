@@ -120,6 +120,12 @@ echo "==> benchmark harness: perfbench builds and tests against the workspace cr
 cargo test -q --release --manifest-path perfbench/Cargo.toml >/dev/null
 echo "    perfbench suites green"
 
+echo "==> float wire contract: the JSON float writer vs {:?} on 50M random bit patterns"
+# Every float on the wire must be the bytes of Rust's {:?}; the tier-1
+# run checks edge sets and 250k patterns, this release sweep 50M more.
+cargo test -q --release --test json_codec -- --ignored >/dev/null
+echo "    float writer byte-identical to {:?} on every pattern"
+
 echo "==> kernel suites: rumba-apps unit, property and doc tests"
 # The exact kernels back every training target, re-execution and oracle
 # error; their own tests (outside the root package) must run here too.

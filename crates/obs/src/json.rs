@@ -3,11 +3,12 @@
 //! flat arrays of those scalars (the serving protocol's `"input":[...]`
 //! payloads; arrays never nest). Hand-rolled so the workspace stays
 //! std-only; the writer and parser are exact inverses for everything
-//! [`crate::Event`] emits (`f64` fields use Rust's shortest round-trip
-//! formatting, so `write → parse` is bit-exact).
+//! [`crate::Event`] emits (`f64` fields are written in the bytes of Rust's
+//! shortest round-trip `{:?}`, so `write → parse` is bit-exact).
+
+mod dtoa;
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A parsed flat JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +117,14 @@ impl JsonWriter {
     /// Starts an object with its `type` tag as the first field.
     #[must_use]
     pub fn object(tag: &str) -> Self {
-        let mut w = Self { out: String::with_capacity(128) };
+        Self::with_capacity(tag, 128)
+    }
+
+    /// [`JsonWriter::object`] with room for `bytes` of text, for callers
+    /// that know their line is longer than the default 128 bytes.
+    #[must_use]
+    pub fn with_capacity(tag: &str, bytes: usize) -> Self {
+        let mut w = Self { out: String::with_capacity(bytes) };
         w.out.push('{');
         w.raw_key("type");
         w.raw_string(tag);
@@ -131,22 +139,42 @@ impl JsonWriter {
         self.out.push(':');
     }
 
+    /// Quotes `s`, copying each run of bytes that needs no escape in one
+    /// piece (escapes are ASCII, so every run ends on a char boundary).
     fn raw_string(&mut self, s: &str) {
         self.out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(self.out, "\\u{:04x}", c as u32);
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                continue;
+            }
+            self.out.push_str(&s[run..i]);
+            run = i + 1;
+            match b {
+                b'"' => self.out.push_str("\\\""),
+                b'\\' => self.out.push_str("\\\\"),
+                b'\n' => self.out.push_str("\\n"),
+                b'\r' => self.out.push_str("\\r"),
+                b'\t' => self.out.push_str("\\t"),
+                _ => {
+                    self.out.push_str("\\u00");
+                    self.out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+                    self.out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
                 }
-                c => self.out.push(c),
             }
         }
+        self.out.push_str(&s[run..]);
         self.out.push('"');
+    }
+
+    /// A finite value in Rust's shortest round-trip `{:?}` bytes; a
+    /// non-finite one as `null` (JSON has no NaN/inf).
+    fn raw_float(&mut self, value: f64) {
+        if value.is_finite() {
+            dtoa::push_f64(&mut self.out, value);
+        } else {
+            self.out.push_str("null");
+        }
     }
 
     /// Appends a string field.
@@ -156,23 +184,19 @@ impl JsonWriter {
         self
     }
 
-    /// Appends a float field. Finite values use Rust's shortest
-    /// round-trip formatting (bit-exact through the parser); non-finite
-    /// values become `null` (JSON has no NaN/inf).
+    /// Appends a float field. Finite values are written exactly as
+    /// `format!("{value:?}")` writes them (shortest round-trip digits,
+    /// bit-exact through the parser); non-finite values become `null`.
     pub fn float(&mut self, key: &str, value: f64) -> &mut Self {
         self.raw_key(key);
-        if value.is_finite() {
-            let _ = write!(self.out, "{value:?}");
-        } else {
-            self.out.push_str("null");
-        }
+        self.raw_float(value);
         self
     }
 
     /// Appends an integer count field.
     pub fn count(&mut self, key: &str, value: u64) -> &mut Self {
         self.raw_key(key);
-        let _ = write!(self.out, "{value}");
+        dtoa::push_u64(&mut self.out, value);
         self
     }
 
@@ -184,20 +208,15 @@ impl JsonWriter {
     }
 
     /// Appends a flat number-array field. Elements follow the same
-    /// formatting contract as [`JsonWriter::float`]: shortest round-trip
-    /// for finite values, `null` for non-finite ones.
+    /// formatting contract as [`JsonWriter::float`].
     pub fn floats(&mut self, key: &str, values: &[f64]) -> &mut Self {
         self.raw_key(key);
         self.out.push('[');
-        for (i, value) in values.iter().enumerate() {
+        for (i, &value) in values.iter().enumerate() {
             if i > 0 {
                 self.out.push(',');
             }
-            if value.is_finite() {
-                let _ = write!(self.out, "{value:?}");
-            } else {
-                self.out.push_str("null");
-            }
+            self.raw_float(value);
         }
         self.out.push(']');
         self
@@ -207,11 +226,11 @@ impl JsonWriter {
     pub fn counts(&mut self, key: &str, values: &[u64]) -> &mut Self {
         self.raw_key(key);
         self.out.push('[');
-        for (i, value) in values.iter().enumerate() {
+        for (i, &value) in values.iter().enumerate() {
             if i > 0 {
                 self.out.push(',');
             }
-            let _ = write!(self.out, "{value}");
+            dtoa::push_u64(&mut self.out, value);
         }
         self.out.push(']');
         self
@@ -225,6 +244,8 @@ impl JsonWriter {
     }
 }
 
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
 /// Parses one flat JSON object (as written by [`JsonWriter`], but accepts
 /// arbitrary whitespace and field order). Nested objects/arrays are not in
 /// the event dialect and are rejected.
@@ -233,7 +254,7 @@ impl JsonWriter {
 ///
 /// Returns a human-readable description of the first syntax problem.
 pub fn parse_object(text: &str) -> Result<JsonObject, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     p.expect(b'{')?;
     let mut obj = JsonObject::new();
@@ -258,20 +279,20 @@ pub fn parse_object(text: &str) -> Result<JsonObject, String> {
         }
     }
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(format!("trailing content at byte {}", p.pos));
     }
     Ok(obj)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn next(&mut self) -> Option<u8> {
@@ -309,7 +330,12 @@ impl Parser<'_> {
     /// the dialect and are rejected.
     fn parse_array(&mut self) -> Result<JsonValue, String> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        // Sized once from the commas before the first ']': exact for the
+        // number vectors the protocol ships, an over-estimate bounded by
+        // the line length when a string element holds commas.
+        let rest = &self.text.as_bytes()[self.pos..];
+        let span = rest.iter().position(|&b| b == b']').unwrap_or(rest.len());
+        let mut items = Vec::with_capacity(rest[..span].iter().filter(|&&b| b == b',').count() + 1);
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
@@ -332,7 +358,7 @@ impl Parser<'_> {
     }
 
     fn parse_literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -345,48 +371,69 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        // The scanned bytes are ASCII, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
         text.parse::<f64>().map(JsonValue::Num).map_err(|e| format!("bad number '{text}': {e}"))
     }
 
+    /// A quoted string. With no escape before the closing quote it is one
+    /// copy of the borrowed slice; otherwise the text between escapes is
+    /// copied run by run. Quotes and backslashes are ASCII and never occur
+    /// inside a multi-byte character, so every run is a `str` slice.
     fn parse_string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        // Collect raw bytes, decoding escapes; the input is valid UTF-8
-        // (it came from &str), so multi-byte sequences pass through.
-        let mut buf: Vec<u8> = Vec::new();
+        let start = self.pos;
+        let stop = self.text.as_bytes()[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        self.pos += stop;
+        if self.next() == Some(b'"') {
+            return Ok(self.text[start..self.pos - 1].to_owned());
+        }
+        let mut out = String::with_capacity(stop + 16);
+        out.push_str(&self.text[start..self.pos - 1]);
+        out.push(self.parse_escape()?);
+        let mut run = self.pos;
         loop {
             match self.next() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => break,
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => buf.push(b'"'),
-                    Some(b'\\') => buf.push(b'\\'),
-                    Some(b'/') => buf.push(b'/'),
-                    Some(b'n') => buf.push(b'\n'),
-                    Some(b'r') => buf.push(b'\r'),
-                    Some(b't') => buf.push(b'\t'),
-                    Some(b'u') => {
-                        let hex =
-                            self.bytes.get(self.pos..self.pos + 4).ok_or("truncated \\u escape")?;
-                        self.pos += 4;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        let c = char::from_u32(code).ok_or("invalid \\u code point")?;
-                        out.push_str(std::str::from_utf8(&buf).map_err(|e| e.to_string())?);
-                        buf.clear();
-                        out.push(c);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(b) => buf.push(b),
+                Some(b'\\') => {
+                    out.push_str(&self.text[run..self.pos - 1]);
+                    out.push(self.parse_escape()?);
+                    run = self.pos;
+                }
+                Some(_) => {}
             }
         }
-        out.push_str(std::str::from_utf8(&buf).map_err(|e| e.to_string())?);
+        out.push_str(&self.text[run..self.pos - 1]);
         Ok(out)
+    }
+
+    /// The character an escape stands for; the backslash is consumed.
+    fn parse_escape(&mut self) -> Result<char, String> {
+        Ok(match self.next() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                // Exactly four ASCII hex digits: no sign, no shorter form.
+                let hex = self.text.as_bytes().get(self.pos..self.pos + 4);
+                let hex = hex.ok_or("truncated \\u escape")?;
+                let mut code = 0;
+                for &b in hex {
+                    let digit = char::from(b).to_digit(16);
+                    code = code << 4 | digit.ok_or_else(|| format!("bad \\u escape {hex:?}"))?;
+                }
+                self.pos += 4;
+                char::from_u32(code).ok_or("invalid \\u code point")?
+            }
+            other => return Err(format!("bad escape {other:?}")),
+        })
     }
 }
 

@@ -10,13 +10,13 @@
 //!
 //! | op         | fields                                                            |
 //! |------------|-------------------------------------------------------------------|
-//! | `open`     | `session` (required), `kernel`, `seed`, `checker`, `mode` (`toq`/`energy`/`best`), `toq`, `budget`, `window`, `queue`, `admission` (`shed`/`block`), `faults` (spec string), `fault_seed`, `watchdog` (bool), `fix` (`reexecute`/`compensate`), `band` (compensation band, required with `fix=compensate`), `zoo` (tier count; 0 = single-model serving), `refit` (bool; arm the online checker re-fit at the watchdog's `Recalibrated` rung) |
+//! | `open`     | `session` (required), `kernel`, `seed`, `checker`, `mode` (`toq`/`energy`/`best`), `toq`, `budget`, `window` (1..=1048576), `queue` (1..=16384), `admission` (`shed`/`block`), `faults` (spec string), `fault_seed`, `watchdog` (bool), `fix` (`reexecute`/`compensate`), `band` (compensation band, required with `fix=compensate`), `zoo` (tier count, 0..=8; 0 = single-model serving), `refit` (bool; arm the online checker re-fit at the watchdog's `Recalibrated` rung) |
 //! | `invoke`   | `session`, `input` (number array)                                 |
 //! | `drain`    | `session` (optional — omitted drains **all** sessions through one multiplexed scheduling round) |
 //! | `stats`    | `session`                                                         |
 //! | `close`    | `session`                                                         |
 //! | `snapshot` | `session` — serialize the session's live state as one config-word line |
-//! | `restore`  | `session`, `state` (a `snapshot` payload) — rebuild the session, bit-for-bit |
+//! | `restore`  | `session`, `state` (a `snapshot` payload) — rebuild the session, bit-for-bit; the snapshot's sizes must meet `open`'s limits |
 //! | `shutdown` | —                                                                 |
 
 use std::io::{Read, Write};
@@ -38,7 +38,9 @@ pub(crate) fn error_line(op: &str, message: &str) -> String {
 }
 
 pub(crate) fn result_line(session: &str, r: &SessionResult) -> String {
-    let mut w = JsonWriter::object("result");
+    // The fixed fields take under 100 bytes; a float under 25 with its comma.
+    let bytes = 100 + session.len() + 25 * r.output.len();
+    let mut w = JsonWriter::with_capacity("result", bytes);
     w.string("session", session)
         .count("index", r.index as u64)
         .boolean("fired", r.fired)
@@ -393,6 +395,51 @@ mod tests {
         let (lines, _) = handle_line(&mut rt, &invoke_line("t0", &payload));
         assert!(lines[0].contains("\"code\":503"), "{}", lines[0]);
         assert!(lines[0].contains("\"shed_total\":1"), "{}", lines[0]);
+    }
+
+    #[test]
+    fn oversized_sessions_are_rejected_in_band() {
+        let mut rt = ServeRuntime::new();
+        let open = |extra: &str| {
+            format!("{{\"op\":\"open\",\"session\":\"big\",\"kernel\":\"gaussian\",{extra}}}")
+        };
+        for extra in [
+            "\"queue\":1000000000000",
+            "\"queue\":1e300",
+            "\"queue\":16385",
+            "\"window\":1e300",
+            "\"zoo\":1000000000000",
+            "\"zoo\":9",
+        ] {
+            let (lines, shutdown) = handle_line(&mut rt, &open(extra));
+            assert!(!shutdown);
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            assert!(lines[0].starts_with("{\"type\":\"error\",\"op\":\"open\""), "{}", lines[0]);
+            assert!(lines[0].contains("must be in"), "{}", lines[0]);
+        }
+        assert!(rt.is_empty());
+
+        // The runtime still serves, and `restore` shares the limits.
+        let (lines, _) = handle_line(&mut rt, &open_line("t0"));
+        assert!(lines[0].starts_with("{\"type\":\"ack\""), "{}", lines[0]);
+        let (lines, _) = handle_line(&mut rt, "{\"op\":\"snapshot\",\"session\":\"t0\"}");
+        let state = parse_object(&lines[0]).unwrap().string("state").unwrap().to_owned();
+        let (_, tail) = state.split_once(" queue=4,").expect("queue token");
+        let rest = tail.split(' ').next().unwrap();
+        for (token, bad) in [
+            (format!(" queue=4,{rest} "), format!(" queue=1000000000000,{rest} ")),
+            (" window=16 ".to_owned(), " window=100000000000 ".to_owned()),
+        ] {
+            let mut w = JsonWriter::object("ignored");
+            let edited = state.replacen(&token, &bad, 1);
+            assert_ne!(edited, state);
+            w.string("op", "restore").string("session", "t1").string("state", &edited);
+            let (lines, _) = handle_line(&mut rt, &w.finish());
+            assert!(lines[0].contains("must be in"), "{}", lines[0]);
+        }
+        let (lines, _) = handle_line(&mut rt, "{\"op\":\"stats\",\"session\":\"t0\"}");
+        assert!(lines[0].starts_with("{\"type\":\"stats\""), "{}", lines[0]);
+        assert!(rt.session("t1").is_none());
     }
 
     #[test]

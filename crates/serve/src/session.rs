@@ -21,6 +21,15 @@ use rumba_predict::{EmaDetector, ErrorEstimator};
 use crate::snapshot::SnapshotParts;
 use crate::ServeError;
 
+/// Largest `window` (iterations per tuning window) a session accepts.
+pub(crate) const MAX_WINDOW: usize = 1 << 20;
+/// Largest request-queue capacity a session accepts: the queue's rows are
+/// allocated when the session opens.
+pub(crate) const MAX_QUEUE: usize = 1 << 14;
+/// Largest model zoo a session accepts: every tier is trained at open,
+/// and by the eighth level down each hidden layer has shrunk to one unit.
+pub(crate) const MAX_ZOO: usize = 8;
+
 /// Which online checker a session runs. Mirrors the CLI's checker choice,
 /// restricted to the schemes that need no extra training pass at session
 /// open (the serving layer opens sessions on the request path).
@@ -151,6 +160,28 @@ pub struct SessionConfig {
     /// reservoir and refit epoch travel in the snapshot, so a mid-refit
     /// migration continues bit-for-bit.
     pub refit: bool,
+}
+
+impl SessionConfig {
+    /// The one validator behind `open` and `restore`, run before any
+    /// training: every size a request line can set must lie within the
+    /// limits, so one line can neither exhaust the server's memory nor
+    /// make it train an unbounded ladder.
+    fn validate(&self) -> Result<(), ServeError> {
+        let limits = [
+            ("window", self.window, 1, MAX_WINDOW),
+            ("queue capacity", self.queue.input_capacity, 1, MAX_QUEUE),
+            ("zoo", self.zoo, 0, MAX_ZOO),
+        ];
+        for (what, value, min, max) in limits {
+            if !(min..=max).contains(&value) {
+                return Err(ServeError::InvalidConfig(format!(
+                    "{what} must be in {min}..={max}, got {value}"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Default for SessionConfig {
@@ -318,6 +349,7 @@ impl Session {
     pub fn open(name: &str, config: SessionConfig) -> Result<Self, ServeError> {
         let kernel = kernel_by_name(&config.kernel)
             .ok_or_else(|| ServeError::UnknownKernel(config.kernel.clone()))?;
+        config.validate()?;
         let offline = OfflineConfig { seed: config.seed, ..OfflineConfig::default() };
         let app = train_app(kernel.as_ref(), &offline)?;
         let threshold = calibrate(&app, config.checker, kernel.as_ref(), config.seed, config.mode)?;
@@ -344,6 +376,7 @@ impl Session {
         let config = parts.config.clone();
         let kernel = kernel_by_name(&config.kernel)
             .ok_or_else(|| ServeError::UnknownKernel(config.kernel.clone()))?;
+        config.validate()?;
         let offline = OfflineConfig { seed: config.seed, ..OfflineConfig::default() };
         let app = train_app(kernel.as_ref(), &offline)?;
         // The placeholder threshold never fires: `import_state` rebuilds
@@ -393,8 +426,8 @@ impl Session {
     }
 
     /// Shared construction path of [`Session::open`] and
-    /// [`Session::restore`]: validates the configuration and assembles the
-    /// pipeline around an already-trained app at the given threshold.
+    /// [`Session::restore`]: assembles the pipeline for a validated
+    /// configuration around an already-trained app at the given threshold.
     fn assemble(
         name: &str,
         config: SessionConfig,
@@ -403,12 +436,6 @@ impl Session {
     ) -> Result<Self, ServeError> {
         let kernel = kernel_by_name(&config.kernel)
             .ok_or_else(|| ServeError::UnknownKernel(config.kernel.clone()))?;
-        if config.window == 0 {
-            return Err(ServeError::InvalidConfig("window must be positive".into()));
-        }
-        if config.queue.input_capacity == 0 {
-            return Err(ServeError::InvalidConfig("queue capacity must be positive".into()));
-        }
         let checker = build_checker(config.checker, app, kernel.as_ref())?;
         let runtime = RuntimeConfig {
             window: config.window,

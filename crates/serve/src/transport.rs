@@ -14,8 +14,8 @@
 //! paths), so a clean `shutdown` no longer leaves a stale socket behind.
 
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::TcpListener;
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -325,30 +325,12 @@ where
     Ok(served)
 }
 
-/// Connects to a server over TCP (`host:port`) or a Unix socket path and
-/// returns buffered reader/writer halves — the client side of the
-/// transports above, shared by the CLI and the bench harness.
-///
-/// # Errors
-///
-/// Propagates connect failures.
-pub fn connect(addr: &str) -> io::Result<(Box<dyn BufRead + Send>, Box<dyn Write + Send>)> {
-    if addr.contains(':') {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = stream.try_clone()?;
-        Ok((Box::new(BufReader::new(reader)), Box::new(stream)))
-    } else {
-        let stream = UnixStream::connect(addr)?;
-        let reader = stream.try_clone()?;
-        Ok((Box::new(BufReader::new(reader)), Box::new(stream)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::cell::RefCell;
     use std::collections::VecDeque;
+    use std::net::TcpStream;
+    use std::os::unix::net::UnixStream;
     use std::rc::Rc;
 
     use super::*;
@@ -590,7 +572,8 @@ mod tests {
     fn tcp_server_round_trips_and_shuts_down() {
         let server = NetServer::bind_tcp("127.0.0.1:0", 2).unwrap();
         let addr = server.addr().to_owned();
-        let (mut reader, mut writer) = connect(&addr).unwrap();
+        let mut writer = TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(writer.try_clone().unwrap());
         writeln!(
             writer,
             "{{\"op\":\"open\",\"session\":\"t0\",\"kernel\":\"gaussian\",\"seed\":7,\
@@ -625,7 +608,8 @@ mod tests {
         let path_str = path.to_str().unwrap().to_owned();
         let server = NetServer::bind_unix(&path_str, 1).unwrap();
         assert!(path.exists());
-        let (mut reader, mut writer) = connect(&path_str).unwrap();
+        let mut writer = UnixStream::connect(&path).unwrap();
+        let mut reader = BufReader::new(writer.try_clone().unwrap());
         writeln!(writer, "{{\"op\":\"shutdown\"}}").unwrap();
         writer.flush().unwrap();
         let mut line = String::new();

@@ -335,6 +335,29 @@ fn malformed_and_oversized_lines_stay_connection_scoped() {
 }
 
 #[test]
+fn oversized_open_is_rejected_in_band_and_the_server_keeps_serving() {
+    let server = NetServer::bind_tcp("127.0.0.1:0", 2).unwrap();
+    let addr = server.addr().to_owned();
+    let mut client = Client::connect(&addr);
+    // Names on both shards, so each shard's thread sees a rejection.
+    let (a, b) = split_names();
+    for name in [a, b] {
+        for size in ["\"queue\":1000000000000", "\"queue\":1e300", "\"zoo\":1000000000000"] {
+            let line = format!("{{\"op\":\"open\",\"session\":\"{name}\",{size}}}");
+            let err = client.request(&line, "open");
+            assert_eq!(err.len(), 1, "{err:?}");
+            assert!(err[0].starts_with("{\"type\":\"error\",\"op\":\"open\""), "{err:?}");
+            assert!(err[0].contains("must be in"), "{err:?}");
+        }
+        let ack = client.request(&open_req(name), "open");
+        assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"open\""), "{ack:?}");
+    }
+    client.request("{\"op\":\"shutdown\"}", "shutdown");
+    drop(client);
+    server.join().unwrap();
+}
+
+#[test]
 fn abrupt_disconnect_mid_line_never_executes_the_torn_request() {
     let server = NetServer::bind_tcp("127.0.0.1:0", 2).unwrap();
     let addr = server.addr().to_owned();
