@@ -26,6 +26,8 @@
 use rumba_faults::{decision, splitmix64, FaultModel, FaultPlan};
 use rumba_nn::NnDataset;
 
+use crate::words::WordReader;
+
 /// How a scenario's input distribution moves over the stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Regime {
@@ -348,44 +350,22 @@ impl Reservoir {
         }
     }
 
-    /// Parses words written by [`Reservoir::to_words`] starting at `pos`
-    /// (advanced past the reservoir block) into a reservoir of the given
-    /// capacity.
+    /// Reads a block written by [`Reservoir::to_words`] into a reservoir
+    /// of the given capacity (capacity is construction config, not part of
+    /// the words).
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed word; `pos` is
-    /// unspecified on error.
-    pub fn from_words(
-        capacity: usize,
-        words: &[u64],
-        pos: &mut usize,
-    ) -> std::result::Result<Self, String> {
-        fn take(words: &[u64], pos: &mut usize, what: &str) -> std::result::Result<u64, String> {
-            let w = words.get(*pos).copied().ok_or(format!("reservoir words ended at {what}"))?;
-            *pos += 1;
-            Ok(w)
-        }
-        let offered = take(words, pos, "offered")?;
-        let count = take(words, pos, "row count")? as usize;
-        if count > capacity {
-            return Err(format!("reservoir carries {count} rows over capacity {capacity}"));
-        }
+    /// Returns a description of the first malformed word.
+    pub fn read(capacity: usize, r: &mut WordReader) -> std::result::Result<Self, String> {
+        let offered = r.u64("reservoir.offered")?;
+        let count = r.count("reservoir.rows", capacity)?;
         let mut rows = Vec::with_capacity(count);
-        for r in 0..count {
-            let poisoned = match take(words, pos, "poison flag")? {
-                0 => false,
-                1 => true,
-                flag => return Err(format!("row {r} poison flag must be 0|1, got {flag}")),
-            };
-            let mut vecs: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+        for _ in 0..count {
+            let poisoned = r.flag("reservoir.poisoned")?;
+            let mut vecs = [Vec::new(), Vec::new(), Vec::new()];
             for vec in &mut vecs {
-                let len = take(words, pos, "vector length")? as usize;
-                if len > words.len().saturating_sub(*pos) {
-                    return Err(format!("row {r} claims {len} elements, words ran out"));
-                }
-                vec.extend(words[*pos..*pos + len].iter().map(|&w| f64::from_bits(w)));
-                *pos += len;
+                vec.extend(r.block("reservoir.vector")?.iter().map(|&w| f64::from_bits(w)));
             }
             let [input, exact, approx] = vecs;
             rows.push(ReservoirRow { input, exact, approx, poisoned });
@@ -538,24 +518,21 @@ mod tests {
         }
         let mut words = Vec::new();
         r.to_words(&mut words);
-        let mut pos = 0usize;
-        let back = Reservoir::from_words(6, &words, &mut pos).unwrap();
-        assert_eq!(pos, words.len(), "whole block consumed");
+        let mut reader = WordReader::new(&words);
+        let back = Reservoir::read(6, &mut reader).unwrap();
+        reader.finish("end").expect("whole block consumed");
         assert_eq!(back, r);
         let mut rewords = Vec::new();
         back.to_words(&mut rewords);
         assert_eq!(rewords, words);
 
         // Truncated and corrupt blocks are rejected.
-        let mut pos = 0usize;
-        assert!(Reservoir::from_words(6, &words[..words.len() - 1], &mut pos).is_err());
+        let read = |capacity, words: &[u64]| Reservoir::read(capacity, &mut WordReader::new(words));
+        assert!(read(6, &words[..words.len() - 1]).is_err());
         let mut corrupt = words.clone();
         corrupt[2] = 9; // poison flag of row 0
-        let mut pos = 0usize;
-        assert!(Reservoir::from_words(6, &corrupt, &mut pos).is_err());
-        // Over-capacity decode is rejected (capacity is construction
-        // config, not part of the words).
-        let mut pos = 0usize;
-        assert!(Reservoir::from_words(2, &words, &mut pos).is_err());
+        assert!(read(6, &corrupt).unwrap_err().contains("reservoir.poisoned"));
+        // Over-capacity decode is rejected.
+        assert!(read(2, &words).unwrap_err().contains("reservoir.rows"));
     }
 }

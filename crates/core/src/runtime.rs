@@ -18,6 +18,7 @@ use rumba_nn::{Matrix, MatrixView, NnDataset, NnError, Scratch};
 use crate::openworld::{Reservoir, ReservoirRow};
 use crate::pipeline::{simulate, PipelineRun};
 use crate::tuner::{calibrate_threshold, Tuner, WindowStats};
+use crate::words::{push_block, WordReader};
 use crate::zoo::ModelZoo;
 use crate::{Result, RumbaError};
 
@@ -581,11 +582,12 @@ impl RumbaSystem {
 
     /// Serializes the system's *streaming* state — tuner threshold,
     /// calibration anchor, window counters, degradation-ladder position,
-    /// fault accounting, and the checker's online words — as plain `u64`
-    /// config-words. Together with the construction-time configuration
-    /// (which the serving layer's snapshot records separately) this is
-    /// everything needed to resume a stream bit-for-bit on a freshly
-    /// built system.
+    /// fault accounting, the checker's online words, and the zoo and refit
+    /// state when armed — as plain `u64` words, read back field by field
+    /// by [`RumbaSystem::import_state`]. Together with the
+    /// construction-time configuration (which the serving layer's snapshot
+    /// records separately) this is everything needed to resume a stream
+    /// bit-for-bit on a freshly built system.
     #[must_use]
     pub fn export_state(&self) -> Vec<u64> {
         let stage = match self.stage {
@@ -593,11 +595,7 @@ impl RumbaSystem {
             DegradeStage::Recalibrated => 1,
             DegradeStage::CpuFallback => 2,
         };
-        let checker = self.checker.export_state();
-        let (band_flag, band_bits) = match self.tuner.compensation_band() {
-            Some(band) => (1, band.to_bits()),
-            None => (0, 0),
-        };
+        let f = &self.fault_stats;
         let mut words = vec![
             self.tuner.threshold().to_bits(),
             self.initial_threshold.to_bits(),
@@ -607,47 +605,41 @@ impl RumbaSystem {
             self.window_len as u64,
             self.window_queue_depth,
             self.window_quarantined as u64,
+            self.window_compensated as u64,
             self.windows_flushed,
             self.stream_fixes as u64,
+            self.stream_compensations as u64,
             self.stream_invocations as u64,
             stage,
             u64::from(self.dirty_windows),
-            self.fault_stats.injected_outputs,
-            self.fault_stats.drifted_inputs,
-            self.fault_stats.checker_blinded,
-            self.fault_stats.quarantined,
-            self.fault_stats.detected,
-            self.fault_stats.escaped,
-            self.fault_stats.recalibrations,
-            self.fault_stats.fallbacks,
-            band_flag,
-            band_bits,
-            self.window_compensated as u64,
-            self.stream_compensations as u64,
-            checker.len() as u64,
+            f.injected_outputs,
+            f.drifted_inputs,
+            f.checker_blinded,
+            f.quarantined,
+            f.detected,
+            f.escaped,
+            f.recalibrations,
+            f.fallbacks,
         ];
-        words.extend(checker);
-        // Zoo routing state rides after the checker words, only when a zoo
-        // is attached — the legacy word layout is byte-identical otherwise.
+        match self.tuner.compensation_band() {
+            Some(band) => words.extend([1, band.to_bits()]),
+            None => words.push(0),
+        }
+        push_block(&mut words, &self.checker.export_state());
         if let Some(zs) = &self.zoo_state {
             words.push(self.tuner.tier_scale().unwrap_or(1.0).to_bits());
             words.push(u64::from(zs.pressure));
-            words.push(zs.window_tiers.len() as u64);
             words.extend_from_slice(&zs.window_tiers);
             words.extend_from_slice(&zs.stream_tiers);
             words.push(zs.tier_cycles_total.to_bits());
         }
-        // Refit state rides last, only when armed. The checker's trained
-        // model travels with it: after the first online refit the model
-        // is no longer reproducible from the offline pipeline, so a
-        // restore must transplant the coefficients, not retrain them.
+        // The checker's trained model travels with the refit state: after
+        // the first online refit the model is no longer reproducible from
+        // the offline pipeline, so a restore must transplant the
+        // coefficients, not retrain them.
         if let Some(rs) = &self.refit_state {
-            words.push(rs.epoch);
-            words.push(rs.window_audit_sum.to_bits());
-            words.push(rs.window_audit_count as u64);
-            let model = self.checker.export_model().unwrap_or_default();
-            words.push(model.len() as u64);
-            words.extend(model);
+            words.extend([rs.epoch, rs.window_audit_sum.to_bits(), rs.window_audit_count as u64]);
+            push_block(&mut words, &self.checker.export_model().unwrap_or_default());
             rs.reservoir.to_words(&mut words);
         }
         words
@@ -655,166 +647,94 @@ impl RumbaSystem {
 
     /// Restores streaming state exported by [`RumbaSystem::export_state`]
     /// onto an identically configured system (same kernel, checker kind,
-    /// tuning mode, window, and queue configuration). The tuner is rebuilt
-    /// at the exported threshold, so the next `replay` behaves
-    /// exactly as it would have on the exporting system.
+    /// tuning mode, window, queue configuration, zoo and refit arming).
+    /// The zoo and refit words are read exactly when this system arms
+    /// them. The tuner is rebuilt at the exported threshold, so the next
+    /// `replay` behaves exactly as it would have on the exporting system.
+    /// Out-of-range values are rejected, never clamped, so an accepted
+    /// state re-exports to the same words.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed word when the state
-    /// does not decode for this system's configuration.
+    /// does not decode for this system's configuration; the system must
+    /// then be rebuilt before reuse.
     pub fn import_state(&mut self, words: &[u64]) -> std::result::Result<(), String> {
-        const HEAD: usize = 26;
-        if words.len() < HEAD {
-            return Err(format!("runtime state wants at least {HEAD} words, got {}", words.len()));
-        }
-        let checker_len = words[25] as usize;
-        // A zoo-armed system expects the routing words after the checker's;
-        // a legacy system expects none. Either mismatch is a hard error —
-        // silently dropping or inventing routing state would fork the
-        // stream from the exporting system.
-        let tier_counts = self.zoo_state.as_ref().map(|zs| zs.window_tiers.len());
-        let zoo_len = tier_counts.map_or(0, |t| 4 + 2 * t);
-        // A refit-armed system expects a variable-length refit tail after
-        // the zoo words; an unarmed one expects the stream to end there.
-        let refit_armed = self.refit_state.is_some();
-        if (refit_armed && words.len() < HEAD + checker_len + zoo_len)
-            || (!refit_armed && words.len() != HEAD + checker_len + zoo_len)
-        {
-            return Err(format!(
-                "runtime state declares {checker_len} checker words (+{zoo_len} zoo words) \
-                 but carries {}",
-                words.len() - HEAD
-            ));
-        }
-        let zoo_restore = match tier_counts {
-            Some(counts) => {
-                let base = HEAD + checker_len;
-                let scale = f64::from_bits(words[base]);
-                if !(scale > 0.0 && scale.is_finite()) {
-                    return Err(format!("restored tier scale rejected: {scale}"));
-                }
-                let pressure = u32::try_from(words[base + 1])
-                    .map_err(|_| format!("zoo pressure overflows u32: {}", words[base + 1]))?;
-                if words[base + 2] as usize != counts {
-                    return Err(format!(
-                        "zoo tier count mismatch: state has {}, system has {counts}",
-                        words[base + 2]
-                    ));
-                }
-                let window_tiers = words[base + 3..base + 3 + counts].to_vec();
-                let stream_tiers = words[base + 3 + counts..base + 3 + 2 * counts].to_vec();
-                let tier_cycles_total = f64::from_bits(words[base + 3 + 2 * counts]);
-                if !tier_cycles_total.is_finite() || tier_cycles_total < 0.0 {
-                    return Err(format!("restored tier cycles rejected: {tier_cycles_total}"));
-                }
-                Some((scale, pressure, window_tiers, stream_tiers, tier_cycles_total))
-            }
-            None => None,
-        };
-        let threshold = f64::from_bits(words[0]);
+        let mut r = WordReader::new(words);
+        let any = usize::MAX;
+        let window = self.config.window;
+        let threshold = r.f64("runtime.threshold")?;
         let mut tuner = Tuner::new(self.tuner.mode(), threshold)
-            .map_err(|e| format!("restored threshold rejected: {e}"))?;
-        let band = match words[21] {
-            0 => None,
-            1 => Some(f64::from_bits(words[22])),
-            flag => return Err(format!("compensation-band flag must be 0|1, got {flag}")),
+            .map_err(|e| format!("runtime.threshold: {e}"))?;
+        self.initial_threshold = r.f64("runtime.initial_threshold")?;
+        self.window_fired = r.count("runtime.window_fired", window)?;
+        self.window_suppressed = r.count("runtime.window_suppressed", window)?;
+        self.window_pred_sum = r.f64("runtime.window_pred_sum")?;
+        self.window_len = r.count("runtime.window_len", window)?;
+        self.window_queue_depth = r.u64("runtime.window_queue_depth")?;
+        self.window_quarantined = r.count("runtime.window_quarantined", window)?;
+        self.window_compensated = r.count("runtime.window_compensated", window)?;
+        self.windows_flushed = r.u64("runtime.windows_flushed")?;
+        self.stream_fixes = r.count("runtime.stream_fixes", any)?;
+        self.stream_compensations = r.count("runtime.stream_compensations", any)?;
+        self.stream_invocations = r.count("runtime.stream_invocations", any)?;
+        self.stage = match r.count("runtime.stage", 2)? {
+            0 => DegradeStage::Normal,
+            1 => DegradeStage::Recalibrated,
+            _ => DegradeStage::CpuFallback,
+        };
+        self.dirty_windows = r.count("runtime.dirty_windows", u32::MAX as usize)? as u32;
+        self.fault_stats = FaultStats {
+            injected_outputs: r.u64("runtime.faults.injected_outputs")?,
+            drifted_inputs: r.u64("runtime.faults.drifted_inputs")?,
+            checker_blinded: r.u64("runtime.faults.checker_blinded")?,
+            quarantined: r.u64("runtime.faults.quarantined")?,
+            detected: r.u64("runtime.faults.detected")?,
+            escaped: r.u64("runtime.faults.escaped")?,
+            recalibrations: r.u64("runtime.faults.recalibrations")?,
+            fallbacks: r.u64("runtime.faults.fallbacks")?,
         };
         // Restored verbatim, not re-validated/re-clamped: the exporting
         // tuner already evolved this band, and re-clamping would change it.
+        let band = r.flag("runtime.band_armed")?.then(|| r.f64("runtime.band")).transpose()?;
         tuner.set_compensation_band_raw(band);
-        if let Some((scale, _, _, _, _)) = &zoo_restore {
-            tuner.set_tier_scale_raw(Some(*scale));
-        }
-        let stage = match words[11] {
-            0 => DegradeStage::Normal,
-            1 => DegradeStage::Recalibrated,
-            2 => DegradeStage::CpuFallback,
-            tag => return Err(format!("degrade stage tag must be 0|1|2, got {tag}")),
-        };
-        let dirty_windows = u32::try_from(words[12])
-            .map_err(|_| format!("dirty_windows overflows u32: {}", words[12]))?;
-        let refit_restore = match &self.refit_state {
-            Some(rs) => {
-                let mut pos = HEAD + checker_len + zoo_len;
-                let take = |words: &[u64], pos: &mut usize, what: &str| {
-                    let w =
-                        words.get(*pos).copied().ok_or(format!("refit words ended at {what}"))?;
-                    *pos += 1;
-                    Ok::<u64, String>(w)
-                };
-                let epoch = take(words, &mut pos, "epoch")?;
-                let audit_sum = f64::from_bits(take(words, &mut pos, "audit sum")?);
-                if !audit_sum.is_finite() {
-                    return Err(format!("restored audit sum rejected: {audit_sum}"));
-                }
-                let audit_count = take(words, &mut pos, "audit count")? as usize;
-                let model_len = take(words, &mut pos, "model length")? as usize;
-                if model_len > words.len().saturating_sub(pos) {
-                    return Err(format!("refit model claims {model_len} words, stream ran out"));
-                }
-                let model = words[pos..pos + model_len].to_vec();
-                pos += model_len;
-                let reservoir = Reservoir::from_words(rs.cfg.capacity, words, &mut pos)?;
-                if pos != words.len() {
-                    return Err(format!(
-                        "{} trailing words after the refit tail",
-                        words.len() - pos
-                    ));
-                }
-                Some((epoch, audit_sum, audit_count, model, reservoir))
+        let checker = r.block("runtime.checker")?;
+        if let Some(zs) = self.zoo_state.as_mut() {
+            let scale = r.f64("runtime.zoo.tier_scale")?;
+            if !(scale > 0.0 && scale.is_finite()) {
+                return Err(format!("runtime.zoo.tier_scale: {scale} is not a positive scale"));
             }
-            None => None,
-        };
-        // The trained model must land before the checker's online words:
-        // a refitted tree/signed pair changes the state-config
-        // fingerprint, and import_state verifies it.
-        if let Some((_, _, _, model, _)) = &refit_restore {
-            if !model.is_empty() {
-                self.checker.import_model(model)?;
+            tuner.set_tier_scale_raw(Some(scale));
+            zs.pressure = r.count("runtime.zoo.pressure", MAX_ZOO_PRESSURE as usize)? as u32;
+            let counts = zs.window_tiers.len();
+            zs.window_tiers = r.words("runtime.zoo.window_tiers", counts)?.to_vec();
+            zs.stream_tiers = r.words("runtime.zoo.stream_tiers", counts)?.to_vec();
+            zs.tier_cycles_total = r.f64("runtime.zoo.tier_cycles")?;
+            if !(zs.tier_cycles_total >= 0.0 && zs.tier_cycles_total.is_finite()) {
+                return Err(format!("runtime.zoo.tier_cycles: {} rejected", zs.tier_cycles_total));
             }
         }
-        self.checker.import_state(&words[HEAD..HEAD + checker_len])?;
         self.tuner = tuner;
-        self.initial_threshold = f64::from_bits(words[1]);
-        self.window_fired = words[2] as usize;
-        self.window_suppressed = words[3] as usize;
-        self.window_pred_sum = f64::from_bits(words[4]);
-        self.window_len = words[5] as usize;
-        self.window_queue_depth = words[6];
-        self.window_quarantined = words[7] as usize;
-        self.windows_flushed = words[8];
-        self.stream_fixes = words[9] as usize;
-        self.stream_invocations = words[10] as usize;
-        self.window_compensated = words[23] as usize;
-        self.stream_compensations = words[24] as usize;
-        self.stage = stage;
-        self.dirty_windows = dirty_windows;
-        self.fault_stats = FaultStats {
-            injected_outputs: words[13],
-            drifted_inputs: words[14],
-            checker_blinded: words[15],
-            quarantined: words[16],
-            detected: words[17],
-            escaped: words[18],
-            recalibrations: words[19],
-            fallbacks: words[20],
-        };
-        if let Some((_, pressure, window_tiers, stream_tiers, tier_cycles_total)) = zoo_restore {
-            let zs = self.zoo_state.as_mut().expect("tier_counts came from zoo_state");
-            zs.pressure = pressure.min(MAX_ZOO_PRESSURE);
-            zs.window_tiers = window_tiers;
-            zs.stream_tiers = stream_tiers;
-            zs.tier_cycles_total = tier_cycles_total;
+        if let Some(rs) = self.refit_state.as_mut() {
+            rs.epoch = r.u64("runtime.refit.epoch")?;
+            rs.window_audit_sum = r.f64("runtime.refit.audit_sum")?;
+            if !rs.window_audit_sum.is_finite() {
+                return Err(format!("runtime.refit.audit_sum: {} rejected", rs.window_audit_sum));
+            }
+            rs.window_audit_count = r.count("runtime.refit.audit_count", any)?;
+            // The trained model must land before the checker's online
+            // words: a refitted tree/signed pair changes the state-config
+            // fingerprint, and the checker's import verifies it.
+            let model = r.block("runtime.refit.model")?;
+            if !model.is_empty() {
+                self.checker
+                    .import_model(model)
+                    .map_err(|e| format!("runtime.refit.model: {e}"))?;
+            }
+            rs.reservoir = Reservoir::read(rs.cfg.capacity, &mut r)?;
         }
-        if let Some((epoch, audit_sum, audit_count, _, reservoir)) = refit_restore {
-            let rs = self.refit_state.as_mut().expect("refit_restore came from refit_state");
-            rs.epoch = epoch;
-            rs.window_audit_sum = audit_sum;
-            rs.window_audit_count = audit_count;
-            rs.reservoir = reservoir;
-        }
-        Ok(())
+        self.checker.import_state(checker).map_err(|e| format!("runtime.checker: {e}"))?;
+        r.finish("runtime")
     }
 
     /// Resets streaming state for a fresh invocation stream (clears the
@@ -1918,11 +1838,51 @@ mod tests {
         let (_, mut system, _) = build_system(TuningMode::BestQuality);
         assert!(system.import_state(&[0; 5]).is_err());
         let mut words = system.export_state();
-        words[11] = 9; // invalid degrade-stage tag
-        assert!(system.import_state(&words).is_err());
+        let stage = 13; // the degrade-stage tag follows 13 counter words
+        words[stage] = 9;
+        assert!(system.import_state(&words).unwrap_err().starts_with("runtime.stage:"));
         let mut truncated = system.export_state();
         truncated.pop();
         assert!(system.import_state(&truncated).is_err());
+    }
+
+    /// A checker length word near `u64::MAX` used to overflow the offset
+    /// sum (a debug-build panic); every huge length is now checked against
+    /// the words that remain and rejected in-band.
+    #[test]
+    fn import_state_rejects_huge_lengths_without_panicking() {
+        let (_, mut system, _) = build_system(TuningMode::BestQuality);
+        let words = system.export_state();
+        // Unarmed (no zoo, no refit), the checker block ends the state.
+        let at = words.len() - system.checker.export_state().len() - 1;
+        for huge in [u64::MAX - 25, u64::MAX, 1 << 62] {
+            let mut bad = words.clone();
+            bad[at] = huge;
+            let err = system.import_state(&bad).unwrap_err();
+            assert!(err.starts_with("runtime.checker:"), "{err}");
+        }
+    }
+
+    /// An accepted state re-exports to the same words, so an out-of-range
+    /// zoo pressure is rejected rather than clamped.
+    #[test]
+    fn zoo_pressure_above_the_cap_is_rejected_not_clamped() {
+        let (kernel, mut system, _) = build_system(TuningMode::BestQuality);
+        let app = train_app(kernel.as_ref(), &OfflineConfig::default()).unwrap();
+        let zoo =
+            crate::zoo::train_zoo(kernel.as_ref(), &app, &OfflineConfig::default(), 1).unwrap();
+        system.attach_zoo(zoo, 0.1).unwrap();
+        system.set_zoo_pressure(MAX_ZOO_PRESSURE);
+        let words = system.export_state();
+        system.import_state(&words).unwrap();
+        assert_eq!(system.export_state(), words);
+        // The pressure word precedes both tier-count arrays and the cycles.
+        let pressure = words.len() - 2 - 2 * system.stream_tiers().len();
+        assert_eq!(words[pressure], u64::from(MAX_ZOO_PRESSURE));
+        let mut over = words.clone();
+        over[pressure] += 1;
+        let err = system.import_state(&over).unwrap_err();
+        assert!(err.starts_with("runtime.zoo.pressure:"), "{err}");
     }
 
     #[test]

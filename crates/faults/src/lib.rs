@@ -156,12 +156,7 @@ impl FaultPlan {
                 }
             };
             let rate = |s: &str| -> Result<f64, String> {
-                let v: f64 = s.parse().map_err(|e| format!("'{entry}': bad rate '{s}' ({e})"))?;
-                if (0.0..=1.0).contains(&v) {
-                    Ok(v)
-                } else {
-                    Err(format!("'{entry}': rate {v} outside [0, 1]"))
-                }
+                s.parse().map_err(|e| format!("'{entry}': bad rate '{s}' ({e})"))
             };
             let num = |s: &str| -> Result<f64, String> {
                 s.parse().map_err(|e| format!("'{entry}': bad number '{s}' ({e})"))
@@ -200,6 +195,7 @@ impl FaultPlan {
                 }
                 other => return Err(format!("unknown fault kind '{other}'")),
             };
+            model.validate().map_err(|e| format!("'{entry}': {e}"))?;
             plan = plan.with(model);
         }
         Ok(plan)
@@ -412,9 +408,21 @@ mod tests {
             "stuck_at=10:1:2",
             "input_drift=1:2",
             "queue_pressure=1:-3",
+            "non_finite=NaN",
+            "checker_blind=2",
         ] {
             assert!(FaultPlan::parse(0, bad).is_err(), "accepted {bad:?}");
         }
+        // The spec parser and `FaultModel::validate` are one check.
+        let err = FaultPlan::parse(0, "bit_flip=1.5").unwrap_err();
+        assert_eq!(err, format!("'bit_flip=1.5': {}", bit_flip(1.5).validate().unwrap_err()));
+        assert!(bit_flip(1.0).validate().is_ok() && bit_flip(0.0).validate().is_ok());
+        let fixed = FaultModel::StuckAt { start: 0, value: f64::NAN };
+        assert!(fixed.validate().is_ok(), "only rates have a range");
+    }
+
+    fn bit_flip(rate: f64) -> FaultModel {
+        FaultModel::BitFlip { rate }
     }
 
     #[test]

@@ -104,6 +104,25 @@ impl FaultModel {
     pub fn strikes_inputs(&self) -> bool {
         matches!(self, FaultModel::InputDrift { .. })
     }
+
+    /// The one range check every way of building a plan runs: a strike
+    /// probability must lie in `[0, 1]` (NaN is rejected).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description naming the out-of-range rate.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            FaultModel::BitFlip { rate }
+            | FaultModel::NonFinite { rate }
+            | FaultModel::CheckerBlind { rate }
+                if !(0.0..=1.0).contains(&rate) =>
+            {
+                Err(format!("{} rate {rate} outside [0, 1]", self.kind().label()))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// The fault taxonomy tag — the `kind` field of `fault` telemetry events

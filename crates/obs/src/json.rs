@@ -366,14 +366,43 @@ impl Parser<'_> {
         }
     }
 
+    /// A number in the JSON grammar, `-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?`,
+    /// checked in the one scan that finds its end. A number that overflows
+    /// to infinity is rejected: the writer could only echo it as `null`.
     fn parse_number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
-        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
+        if self.peek() == Some(b'-') {
             self.pos += 1;
+        }
+        let leading_zero = self.peek() == Some(b'0');
+        let int_digits = self.digits();
+        let mut ok = int_digits == 1 || (int_digits > 1 && !leading_zero);
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            ok &= self.digits() > 0;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            ok &= self.digits() > 0;
         }
         // The scanned bytes are ASCII, so both ends are char boundaries.
         let text = &self.text[start..self.pos];
-        text.parse::<f64>().map(JsonValue::Num).map_err(|e| format!("bad number '{text}': {e}"))
+        match text.parse::<f64>() {
+            Ok(v) if ok && v.is_finite() => Ok(JsonValue::Num(v)),
+            _ => Err(format!("bad number '{text}'")),
+        }
+    }
+
+    /// Skips a run of ASCII digits, returning its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 
     /// A quoted string. With no escape before the closing quote it is one

@@ -205,10 +205,14 @@ impl ErrorEstimator for EmaDetector {
             ));
         }
         for (i, slot) in self.state.iter_mut().enumerate() {
-            *slot = match words[2 * i] {
-                0 => None,
-                1 => Some(f64::from_bits(words[2 * i + 1])),
-                flag => return Err(format!("EMA slot {i} flag must be 0|1, got {flag}")),
+            *slot = match (words[2 * i], words[2 * i + 1]) {
+                (0, 0) => None,
+                (1, bits) => Some(f64::from_bits(bits)),
+                (flag, bits) => {
+                    return Err(format!(
+                        "EMA slot {i} must be (0, 0) or (1, bits), got ({flag}, {bits})"
+                    ))
+                }
             };
         }
         self.skipped_non_finite = words[expect - 1];
@@ -278,6 +282,7 @@ mod tests {
         let mut ema = EmaDetector::new(4, 2).unwrap();
         assert!(ema.import_state(&[1, 0, 0]).is_err()); // wrong length
         assert!(ema.import_state(&[2, 0, 0, 0, 0]).is_err()); // bad flag
+        assert!(ema.import_state(&[0, 7, 0, 0, 0]).is_err()); // unseeded slot with bits
     }
 
     #[test]

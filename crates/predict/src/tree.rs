@@ -45,10 +45,12 @@ fn parse_tree_words(words: &[u64], pos: &mut usize) -> std::result::Result<Decis
     for i in 0..count {
         let base = *pos + 1 + 3 * i;
         let value = f64::from_bits(words[base + 2]);
-        nodes.push(match words[base] {
-            0 => TreeNodeWord::Leaf { value },
-            1 => TreeNodeWord::Split { feature: words[base + 1] as usize, threshold: value },
-            tag => return Err(format!("tree node tag must be 0|1, got {tag}")),
+        nodes.push(match (words[base], words[base + 1]) {
+            (0, 0) => TreeNodeWord::Leaf { value },
+            (1, feature) => TreeNodeWord::Split { feature: feature as usize, threshold: value },
+            (tag, feature) => {
+                return Err(format!("tree node must be (0, 0, value) or (1, feature, threshold), got ({tag}, {feature}, ..)"))
+            }
         });
     }
     *pos = end;
@@ -573,6 +575,12 @@ mod tests {
         );
         assert!(other.import_model_words(&words[..words.len() - 2]).is_err());
         assert!(other.import_model_words(&[7]).is_err());
+        // A leaf's feature word is always written as 0; any other value
+        // would not re-export, so it is rejected.
+        let leaf = words.iter().skip(1).step_by(3).position(|&tag| tag == 0).unwrap();
+        let mut stray = words.clone();
+        stray[1 + 3 * leaf + 1] = 5;
+        assert!(other.import_model_words(&stray).is_err());
     }
 
     proptest! {

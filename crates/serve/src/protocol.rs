@@ -15,8 +15,8 @@
 //! | `drain`    | `session` (optional — omitted drains **all** sessions through one multiplexed scheduling round) |
 //! | `stats`    | `session`                                                         |
 //! | `close`    | `session`                                                         |
-//! | `snapshot` | `session` — serialize the session's live state as one config-word line |
-//! | `restore`  | `session`, `state` (a `snapshot` payload) — rebuild the session, bit-for-bit; the snapshot's sizes must meet `open`'s limits |
+//! | `snapshot` | `session` — serialize the session's config and live state as one line of hex words (`rumba-session-snapshot v2`, see [`crate::snapshot`]) |
+//! | `restore`  | `session`, `state` (a `snapshot` payload) — rebuild the session, bit-for-bit; the snapshot's config passes `open`'s validator (sizes, fault rates) and every word is checked before training |
 //! | `shutdown` | —                                                                 |
 
 use std::io::{Read, Write};
@@ -332,11 +332,19 @@ pub fn serve_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot;
+    use rumba_faults::FaultModel;
 
     fn open_line(name: &str) -> String {
         format!(
             "{{\"op\":\"open\",\"session\":\"{name}\",\"kernel\":\"gaussian\",\"seed\":7,\"window\":16,\"queue\":4}}"
         )
+    }
+
+    fn restore_line(name: &str, state: &str) -> String {
+        let mut w = JsonWriter::object("ignored");
+        w.string("op", "restore").string("session", name).string("state", state);
+        w.finish().replacen("\"type\":\"ignored\",", "", 1)
     }
 
     fn invoke_line(name: &str, input: &[f64]) -> String {
@@ -424,22 +432,59 @@ mod tests {
         assert!(lines[0].starts_with("{\"type\":\"ack\""), "{}", lines[0]);
         let (lines, _) = handle_line(&mut rt, "{\"op\":\"snapshot\",\"session\":\"t0\"}");
         let state = parse_object(&lines[0]).unwrap().string("state").unwrap().to_owned();
-        let (_, tail) = state.split_once(" queue=4,").expect("queue token");
-        let rest = tail.split(' ').next().unwrap();
-        for (token, bad) in [
-            (format!(" queue=4,{rest} "), format!(" queue=1000000000000,{rest} ")),
-            (" window=16 ".to_owned(), " window=100000000000 ".to_owned()),
-        ] {
-            let mut w = JsonWriter::object("ignored");
-            let edited = state.replacen(&token, &bad, 1);
+        let edits: [fn(&mut SessionConfig); 3] = [
+            |c| c.queue.input_capacity = 1_000_000_000_000,
+            |c| c.window = 100_000_000_000,
+            |c| c.zoo = 9,
+        ];
+        for edit in edits {
+            let edited = snapshot::edit_config(&state, edit);
             assert_ne!(edited, state);
-            w.string("op", "restore").string("session", "t1").string("state", &edited);
-            let (lines, _) = handle_line(&mut rt, &w.finish());
+            let (lines, _) = handle_line(&mut rt, &restore_line("t1", &edited));
             assert!(lines[0].contains("must be in"), "{}", lines[0]);
         }
+        // A fault rate `open` refuses is refused on restore too.
+        let (lines, _) = handle_line(&mut rt, &open(r#""faults":"bit_flip=5.0""#));
+        assert!(lines[0].contains("outside [0, 1]"), "{}", lines[0]);
+        let edited = snapshot::edit_config(&state, |c| {
+            c.faults = Some(FaultPlan::new(1).with(FaultModel::BitFlip { rate: 5.0 }));
+        });
+        let (lines, _) = handle_line(&mut rt, &restore_line("t1", &edited));
+        assert!(lines[0].contains("outside [0, 1]"), "{}", lines[0]);
         let (lines, _) = handle_line(&mut rt, "{\"op\":\"stats\",\"session\":\"t0\"}");
         assert!(lines[0].starts_with("{\"type\":\"stats\""), "{}", lines[0]);
         assert!(rt.session("t1").is_none());
+    }
+
+    /// Restoring a snapshot onto a differently-configured checker fails
+    /// in-band: the config word embedded in the exported checker state
+    /// detects the mismatch before any coefficients are imported, instead
+    /// of silently priming an incompatible predictor with another model's
+    /// state. The rejection is clean: the runtime still takes the
+    /// untampered snapshot afterwards.
+    #[test]
+    fn restore_under_a_different_checker_is_rejected_in_band() {
+        let mut rt = ServeRuntime::new();
+        let open = open_line("t0").replacen("\"window\"", "\"checker\":\"ema\",\"window\"", 1);
+        handle_line(&mut rt, &open);
+        let dim = rt.session("t0").unwrap().input_dim();
+        for k in 0..3 {
+            handle_line(&mut rt, &invoke_line("t0", &vec![0.2 * k as f64; dim]));
+        }
+        handle_line(&mut rt, "{\"op\":\"drain\",\"session\":\"t0\"}");
+        let (lines, _) = handle_line(&mut rt, "{\"op\":\"snapshot\",\"session\":\"t0\"}");
+        let state = parse_object(&lines[0]).unwrap().string("state").unwrap().to_owned();
+        assert_eq!(snapshot::config_of(&state).checker, CheckerKind::Ema);
+
+        let tampered = snapshot::edit_config(&state, |c| c.checker = CheckerKind::Tree);
+        let (lines, shutdown) = handle_line(&mut rt, &restore_line("t1", &tampered));
+        assert!(!shutdown);
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].starts_with("{\"type\":\"error\""), "{lines:?}");
+        assert!(lines[0].contains("checker config mismatch"), "{lines:?}");
+
+        let (lines, _) = handle_line(&mut rt, &restore_line("t1", &state));
+        assert!(lines[0].starts_with("{\"type\":\"ack\",\"op\":\"restore\""), "{lines:?}");
     }
 
     #[test]

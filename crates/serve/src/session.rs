@@ -12,14 +12,14 @@ use rumba_core::runtime::{
 };
 use rumba_core::trainer::{invocation_errors, train_app, OfflineConfig, TrainedApp};
 use rumba_core::tuner::{calibrate_threshold, Tuner, TuningMode};
+use rumba_core::words::WordReader;
 use rumba_core::zoo::{train_zoo, ModelZoo};
-use rumba_faults::FaultPlan;
+use rumba_faults::{FaultModel, FaultPlan};
 use rumba_nn::{Matrix, MatrixView, NnDataset, Scratch};
 use rumba_obs::Event;
 use rumba_predict::{EmaDetector, ErrorEstimator};
 
-use crate::snapshot::SnapshotParts;
-use crate::ServeError;
+use crate::{snapshot, ServeError};
 
 /// Largest `window` (iterations per tuning window) a session accepts.
 pub(crate) const MAX_WINDOW: usize = 1 << 20;
@@ -166,8 +166,9 @@ impl SessionConfig {
     /// The one validator behind `open` and `restore`, run before any
     /// training: every size a request line can set must lie within the
     /// limits, so one line can neither exhaust the server's memory nor
-    /// make it train an unbounded ladder.
-    fn validate(&self) -> Result<(), ServeError> {
+    /// make it train an unbounded ladder, and every fault rate must pass
+    /// [`FaultModel::validate`], the check the fault-spec parser runs.
+    pub(crate) fn validate(&self) -> Result<(), ServeError> {
         let limits = [
             ("window", self.window, 1, MAX_WINDOW),
             ("queue capacity", self.queue.input_capacity, 1, MAX_QUEUE),
@@ -180,7 +181,11 @@ impl SessionConfig {
                 )));
             }
         }
-        Ok(())
+        self.faults
+            .iter()
+            .flat_map(FaultPlan::models)
+            .try_for_each(FaultModel::validate)
+            .map_err(ServeError::InvalidConfig)
     }
 }
 
@@ -347,11 +352,8 @@ impl Session {
     /// Fails on unknown kernels, invalid configuration, or offline
     /// training failures.
     pub fn open(name: &str, config: SessionConfig) -> Result<Self, ServeError> {
-        let kernel = kernel_by_name(&config.kernel)
-            .ok_or_else(|| ServeError::UnknownKernel(config.kernel.clone()))?;
-        config.validate()?;
-        let offline = OfflineConfig { seed: config.seed, ..OfflineConfig::default() };
-        let app = train_app(kernel.as_ref(), &offline)?;
+        let kernel = Self::checked_kernel(&config)?;
+        let app = train_app(kernel.as_ref(), &offline_config(&config))?;
         let threshold = calibrate(&app, config.checker, kernel.as_ref(), config.seed, config.mode)?;
         let session = Self::assemble(name, config, &app, threshold)?;
         session.emit_session_event("open");
@@ -364,65 +366,61 @@ impl Session {
     /// stream to whatever shard owns it). The restored session continues
     /// bit-for-bit where the snapshot was taken: same tuner threshold,
     /// checker history, fault-stream position, queued inputs, and
-    /// uncollected results.
+    /// uncollected results. Everything but the runtime block's contents
+    /// is read and checked before any training is paid for.
     ///
     /// # Errors
     ///
-    /// Fails on malformed snapshot text, unknown kernels, or offline
-    /// training failures.
+    /// Fails on malformed snapshot text, a configuration `open` would
+    /// reject, unknown kernels, or offline training failures.
     pub fn restore(name: &str, text: &str) -> Result<Self, ServeError> {
-        let parts = SnapshotParts::parse(text)
-            .map_err(|e| ServeError::InvalidConfig(format!("snapshot: {e}")))?;
-        let config = parts.config.clone();
-        let kernel = kernel_by_name(&config.kernel)
-            .ok_or_else(|| ServeError::UnknownKernel(config.kernel.clone()))?;
-        config.validate()?;
-        let offline = OfflineConfig { seed: config.seed, ..OfflineConfig::default() };
-        let app = train_app(kernel.as_ref(), &offline)?;
+        let malformed = |e: String| ServeError::InvalidConfig(format!("snapshot: {e}"));
+        let (kernel, words) = snapshot::decode(text).map_err(malformed)?;
+        let mut r = WordReader::new(&words);
+        let config = snapshot::read_config(kernel, &mut r).map_err(malformed)?;
+        let kernel = Self::checked_kernel(&config)?;
+        let state = snapshot::read_state(&mut r, &config, kernel.as_ref()).map_err(malformed)?;
+        let app = train_app(kernel.as_ref(), &offline_config(&config))?;
         // The placeholder threshold never fires: `import_state` rebuilds
         // the tuner at the snapshotted threshold (and the calibration
         // anchor), so the calibration probe is skipped entirely.
         let mut session = Self::assemble(name, config, &app, 1.0)?;
-        session
-            .system
-            .import_state(&parts.runtime)
-            .map_err(|e| ServeError::InvalidConfig(format!("snapshot runtime: {e}")))?;
-        session.import_stats(&parts.stats)?;
-        session.import_queue(&parts.queue)?;
-        session.import_completed(&parts.completed)?;
+        session.system.import_state(state.runtime).map_err(malformed)?;
+        session.stats = state.stats;
+        session.pending_inputs.extend(state.inputs.iter().map(|&w| f64::from_bits(w)));
+        session.pending_rows = state.rows;
+        session.completed = state.completed;
         session.emit_session_event("restore");
         Ok(session)
     }
 
-    /// Serializes the session's full live state as one plain-text
-    /// config-word line (see [`crate::snapshot`] for the format). The
-    /// session keeps running; the snapshot is a copy, not a detach.
+    /// The check `open` and `restore` share before any training: a known
+    /// kernel and a configuration [`SessionConfig::validate`] accepts.
+    fn checked_kernel(config: &SessionConfig) -> Result<Box<dyn Kernel>, ServeError> {
+        let kernel = kernel_by_name(&config.kernel)
+            .ok_or_else(|| ServeError::UnknownKernel(config.kernel.clone()))?;
+        config.validate()?;
+        Ok(kernel)
+    }
+
+    /// Serializes the session's full live state as one plain-text line of
+    /// hex words (see [`crate::snapshot`] for the format). The session
+    /// keeps running; the snapshot is a copy, not a detach.
     #[must_use]
     pub fn snapshot(&self) -> String {
-        let dim = self.kernel.input_dim();
-        let mut queue = Vec::with_capacity(1 + self.pending_rows * dim);
-        queue.push(self.pending_rows as u64);
-        queue.extend(self.pending_inputs[..self.pending_rows * dim].iter().map(|x| x.to_bits()));
-        let out_dim = self.kernel.output_dim();
-        let mut completed = Vec::with_capacity(1 + self.completed.len() * (4 + out_dim));
-        completed.push(self.completed.len() as u64);
-        for r in &self.completed {
-            completed.extend([
-                r.index as u64,
-                u64::from(r.fired),
-                r.predicted_error.to_bits(),
-                r.measured_error.to_bits(),
-            ]);
-            completed.extend(r.output.iter().map(|x| x.to_bits()));
-        }
-        SnapshotParts {
-            config: self.config.clone(),
-            runtime: self.system.export_state(),
-            stats: self.export_stats(),
-            queue,
-            completed,
-        }
-        .encode()
+        let inputs = &self.pending_inputs[..self.pending_rows * self.kernel.input_dim()];
+        let runtime = self.system.export_state();
+        let mut words = Vec::with_capacity(64 + runtime.len() + inputs.len());
+        snapshot::write_config(&self.config, &mut words);
+        snapshot::write_state(
+            &mut words,
+            &runtime,
+            &self.stats,
+            self.pending_rows,
+            inputs,
+            &self.completed,
+        );
+        snapshot::encode(&self.config.kernel, &words)
     }
 
     /// Shared construction path of [`Session::open`] and
@@ -453,8 +451,7 @@ impl Session {
         system.set_session_label(name);
         system.set_fault_plan(config.faults.clone());
         if config.zoo > 0 {
-            let offline = OfflineConfig { seed: config.seed, ..OfflineConfig::default() };
-            let zoo = train_zoo(kernel.as_ref(), app, &offline, config.zoo)?;
+            let zoo = train_zoo(kernel.as_ref(), app, &offline_config(&config), config.zoo)?;
             // The bar base is calibrated on the train split under the same
             // mean-error contract as the firing threshold (a raw 1 - toq
             // per-invocation cut would over-route to exact CPU).
@@ -539,116 +536,6 @@ impl Session {
         }
     }
 
-    /// The `SessionStats` counters as snapshot words, floats as bits. The
-    /// 14th word (`compensated`) is appended only when nonzero, so
-    /// re-execution-only sessions keep the historical 13-word layout byte
-    /// for byte.
-    fn export_stats(&self) -> Vec<u64> {
-        let s = &self.stats;
-        let mut words = vec![
-            s.submitted,
-            s.processed,
-            s.fixes,
-            s.shed,
-            s.blocked,
-            s.queue_high_water as u64,
-            s.error_sum.to_bits(),
-            s.drains,
-            s.back_pressured_drains,
-            s.recovery_high_water as u64,
-            s.total_cycles.to_bits(),
-            s.cpu_busy_cycles.to_bits(),
-            s.final_threshold.to_bits(),
-        ];
-        if s.compensated > 0 {
-            words.push(s.compensated);
-        }
-        words
-    }
-
-    fn import_stats(&mut self, words: &[u64]) -> Result<(), ServeError> {
-        if words.len() != 13 && words.len() != 14 {
-            return Err(ServeError::InvalidConfig(format!(
-                "snapshot stats wants 13 or 14 words, got {}",
-                words.len()
-            )));
-        }
-        self.stats = SessionStats {
-            submitted: words[0],
-            processed: words[1],
-            fixes: words[2],
-            shed: words[3],
-            blocked: words[4],
-            queue_high_water: words[5] as usize,
-            error_sum: f64::from_bits(words[6]),
-            drains: words[7],
-            back_pressured_drains: words[8],
-            recovery_high_water: words[9] as usize,
-            total_cycles: f64::from_bits(words[10]),
-            cpu_busy_cycles: f64::from_bits(words[11]),
-            final_threshold: f64::from_bits(words[12]),
-            compensated: words.get(13).copied().unwrap_or(0),
-        };
-        Ok(())
-    }
-
-    fn import_queue(&mut self, words: &[u64]) -> Result<(), ServeError> {
-        let malformed =
-            |detail: String| ServeError::InvalidConfig(format!("snapshot queue: {detail}"));
-        let (&rows, inputs) =
-            words.split_first().ok_or_else(|| malformed("empty section".into()))?;
-        let rows = rows as usize;
-        let expect = rows
-            .checked_mul(self.kernel.input_dim())
-            .ok_or_else(|| malformed(format!("row count {rows} overflows")))?;
-        if inputs.len() != expect {
-            return Err(malformed(format!(
-                "{rows} rows want {expect} input words, got {}",
-                inputs.len()
-            )));
-        }
-        self.pending_inputs.clear();
-        self.pending_inputs.extend(inputs.iter().map(|&w| f64::from_bits(w)));
-        self.pending_rows = rows;
-        Ok(())
-    }
-
-    fn import_completed(&mut self, words: &[u64]) -> Result<(), ServeError> {
-        let malformed =
-            |detail: String| ServeError::InvalidConfig(format!("snapshot completed: {detail}"));
-        let (&count, mut rest) =
-            words.split_first().ok_or_else(|| malformed("empty section".into()))?;
-        let out_dim = self.kernel.output_dim();
-        let record = 4 + out_dim;
-        let expect = (count as usize)
-            .checked_mul(record)
-            .ok_or_else(|| malformed(format!("result count {count} overflows")))?;
-        if rest.len() != expect {
-            return Err(malformed(format!(
-                "{count} results want {expect} words, got {}",
-                rest.len()
-            )));
-        }
-        self.completed.clear();
-        for _ in 0..count {
-            let (head, tail) = rest.split_at(record);
-            let fired = match head[1] {
-                0 => false,
-                1 => true,
-                flag => return Err(malformed(format!("fired flag must be 0|1, got {flag}"))),
-            };
-            self.completed.push_back(SessionResult {
-                index: head[0] as usize,
-                fired,
-                predicted_error: f64::from_bits(head[2]),
-                measured_error: f64::from_bits(head[3]),
-                output: head[4..].iter().map(|&w| f64::from_bits(w)).collect(),
-            });
-            rest = tail;
-        }
-        Ok(())
-    }
-
     /// Session name (the telemetry label).
     #[must_use]
     pub fn name(&self) -> &str {
@@ -723,6 +610,13 @@ impl Session {
     #[must_use]
     pub fn zoo_pressure(&self) -> u32 {
         self.system.zoo_pressure()
+    }
+
+    /// Online checker refits committed so far (0 unless the session was
+    /// opened with `refit`).
+    #[must_use]
+    pub fn refit_epoch(&self) -> u64 {
+        self.system.refit_epoch()
     }
 
     /// Whole-stream per-tier routing counts (`zoo + 1` slots, last =
@@ -963,6 +857,10 @@ impl Session {
         let results = self.completed.into_iter().collect();
         Ok((self.stats, results))
     }
+}
+
+fn offline_config(config: &SessionConfig) -> OfflineConfig {
+    OfflineConfig { seed: config.seed, ..OfflineConfig::default() }
 }
 
 fn build_checker(

@@ -1,332 +1,340 @@
-//! Session snapshot codec: one line of plain-text config-words.
+//! Session snapshot codec: one line of hex words.
 //!
 //! A snapshot is the serialized form of a live serving session — its
 //! opening configuration plus every piece of online state (tuner
-//! threshold, checker history, window counters, fault accounting, queued
-//! inputs, uncollected results). The encoding follows the
-//! `TrainedModelCache` family: human-readable tokens, floats as the
-//! `{:016x}` hex of their IEEE-754 bits so round-trips are bit-exact, and
-//! a versioned header so stale snapshots fail loudly instead of decoding
-//! garbage.
-//!
-//! The whole snapshot is a single line (no newlines, characters drawn
-//! from `[a-z0-9 =:,._-]`), so it embeds verbatim in a protocol JSON
-//! string:
+//! threshold, checker history, window counters, fault accounting, zoo and
+//! refit state, session stats, queued inputs, uncollected results). After
+//! a versioned header naming the kernel, everything is one stream of
+//! `u64` words, each written as 16 lowercase hex digits (floats as their
+//! IEEE-754 bits, so round-trips are bit-exact):
 //!
 //! ```text
-//! rumba-session-snapshot v1 kernel=gaussian seed=7 checker=ema
-//!     mode=toq:3feccccccccccccd window=16 queue=6,16,64 admission=shed
-//!     section runtime 25 3f91a... section stats 13 ... section queue 3 ...
+//! rumba-session-snapshot v2 kernel=gaussian 000000000000002a 0000000000000000
+//!     3feccccccccccccd 0000000000000010 ...
 //! ```
 //!
-//! (wrapped here for readability). The session *name* is deliberately not
-//! part of the snapshot: `restore` names the session, which is what lets
-//! a snapshot migrate to a different shard — placement is a pure hash of
-//! the name — or to a differently named session entirely.
+//! (wrapped here for readability). The stream is read back in order by
+//! one [`WordReader`]: first the [`SessionConfig`] (`write_config`'s
+//! layout), then the session state (`write_state`'s layout) — the
+//! runtime's `export_state` words as a length-prefixed block, 14 stats
+//! words, the queued rows and the completed results. Every field is
+//! checked as it is read, so a malformed or edited snapshot is rejected
+//! with the name of the field, and an accepted one re-snapshots to the
+//! same bytes.
+//!
+//! The session *name* is deliberately not part of the snapshot: `restore`
+//! names the session, which is what lets a snapshot migrate to a
+//! different shard — placement is a pure hash of the name — or to a
+//! differently named session entirely.
 
+use std::collections::VecDeque;
+
+use rumba_apps::Kernel;
 use rumba_core::event_sim::QueueConfig;
 use rumba_core::runtime::{FixPolicy, WatchdogConfig};
 use rumba_core::tuner::TuningMode;
+use rumba_core::words::{push_block, WordReader};
 use rumba_faults::{FaultModel, FaultPlan};
 
-use crate::session::{AdmissionPolicy, CheckerKind, SessionConfig};
+use crate::session::{AdmissionPolicy, CheckerKind, SessionConfig, SessionResult, SessionStats};
 
 /// Leading tokens of every snapshot; bump the version when the word
 /// layout changes.
-pub const FORMAT_HEADER: &str = "rumba-session-snapshot v1";
+pub const FORMAT_HEADER: &str = "rumba-session-snapshot v2";
 
-/// A parsed (or to-be-encoded) snapshot: the opening configuration plus
-/// the raw word sections the session's components export.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SnapshotParts {
-    /// Everything `Session::open` needs (fault plan and watchdog ride in
-    /// their own sections of the encoded form).
-    pub(crate) config: SessionConfig,
-    /// `RumbaSystem::export_state` words (tuner, windows, checker, ...).
-    pub(crate) runtime: Vec<u64>,
-    /// The `SessionStats` counters (13, plus a trailing `compensated`
-    /// word when nonzero).
-    pub(crate) stats: Vec<u64>,
-    /// Queued-but-undrained request rows: `[rows, input bits...]`.
-    pub(crate) queue: Vec<u64>,
-    /// Completed-but-uncollected results:
-    /// `[count, (index, fired, predicted, measured, output bits...)...]`.
-    pub(crate) completed: Vec<u64>,
+/// Checker kinds by their word tag (declaration order of [`CheckerKind`]).
+const CHECKERS: [CheckerKind; 4] =
+    [CheckerKind::Linear, CheckerKind::Tree, CheckerKind::Ema, CheckerKind::Evp];
+/// Admission policies by their word tag.
+const ADMISSIONS: [AdmissionPolicy; 2] = [AdmissionPolicy::Shed, AdmissionPolicy::Block];
+
+/// Renders the header and `words` as the one-line text form.
+pub(crate) fn encode(kernel: &str, words: &[u64]) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut out = Vec::with_capacity(FORMAT_HEADER.len() + 8 + kernel.len() + 17 * words.len());
+    out.extend_from_slice(FORMAT_HEADER.as_bytes());
+    out.extend_from_slice(b" kernel=");
+    out.extend_from_slice(kernel.as_bytes());
+    for &word in words {
+        out.push(b' ');
+        out.extend((0..16).rev().map(|nibble| HEX[(word >> (4 * nibble)) as usize & 0xf]));
+    }
+    String::from_utf8(out).expect("the header, a str and hex digits are UTF-8")
 }
 
-impl SnapshotParts {
-    /// Encodes the snapshot as its single-line text form.
-    pub(crate) fn encode(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(
-            64 + 17 * (self.runtime.len() + self.stats.len() + self.queue.len())
-                + 17 * self.completed.len(),
-        );
-        out.push_str(FORMAT_HEADER);
-        let c = &self.config;
-        let _ = write!(out, " kernel={} seed={} checker={}", c.kernel, c.seed, c.checker.label());
-        match c.mode {
-            TuningMode::TargetQuality { toq } => {
-                let _ = write!(out, " mode=toq:{:016x}", toq.to_bits());
+/// Splits the text form into its kernel name and word stream — the
+/// inverse of [`encode`]. Only the canonical spelling is accepted: single
+/// spaces, exactly 16 lowercase hex digits per word.
+pub(crate) fn decode(text: &str) -> Result<(&str, Vec<u64>), String> {
+    let rest = text
+        .strip_prefix(FORMAT_HEADER)
+        .and_then(|rest| rest.strip_prefix(" kernel="))
+        .ok_or("not a rumba-session-snapshot v2")?;
+    let mut tokens = rest.split(' ');
+    let kernel = tokens.next().unwrap_or_default();
+    let words = tokens
+        .enumerate()
+        .map(|(i, hex)| {
+            let bad = || format!("word {i}: {hex:?} is not 16 lowercase hex digits");
+            if hex.len() != 16 {
+                return Err(bad());
             }
-            TuningMode::EnergyBudget { budget } => {
-                let _ = write!(out, " mode=energy:{budget}");
-            }
-            TuningMode::BestQuality => out.push_str(" mode=best"),
-        }
-        let _ = write!(
-            out,
-            " window={} queue={},{},{} admission={}",
-            c.window,
-            c.queue.input_capacity,
-            c.queue.output_capacity,
-            c.queue.recovery_capacity,
-            c.admission.label()
-        );
-        // Omitted for the default re-execution policy, so snapshots of
-        // sessions that never heard of compensation are byte-identical to
-        // the pre-compensation encoding.
-        if let FixPolicy::Compensate { band } = c.fix_policy {
-            let _ = write!(out, " fix=comp:{:016x}", band.to_bits());
-        }
-        // Omitted for zoo-less sessions, so their snapshots stay
-        // byte-identical to the pre-zoo encoding.
-        if c.zoo > 0 {
-            let _ = write!(out, " zoo={}", c.zoo);
-        }
-        // Omitted for refit-less sessions, so their snapshots stay
-        // byte-identical to the pre-refit encoding. The token arms the
-        // restore *before* the runtime words are imported — the runtime
-        // section of a refit session carries a trailing reservoir/epoch
-        // tail that only an armed system knows how to parse.
-        if c.refit {
-            out.push_str(" refit=1");
-        }
-        if let Some(plan) = &c.faults {
-            push_section(&mut out, "faults", &encode_fault_plan(plan));
-        }
-        if let Some(w) = &c.watchdog {
-            let words =
-                [w.quality_limit.to_bits(), u64::from(w.patience), u64::from(w.fallback_patience)];
-            push_section(&mut out, "watchdog", &words);
-        }
-        push_section(&mut out, "runtime", &self.runtime);
-        push_section(&mut out, "stats", &self.stats);
-        push_section(&mut out, "queue", &self.queue);
-        push_section(&mut out, "completed", &self.completed);
-        out
+            hex.bytes().try_fold(0u64, |word, b| {
+                let digit = match b {
+                    b'0'..=b'9' => b - b'0',
+                    b'a'..=b'f' => b - b'a' + 10,
+                    _ => return Err(bad()),
+                };
+                Ok(word << 4 | u64::from(digit))
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((kernel, words))
+}
+
+/// Appends everything `Session::open` needs except the kernel name (which
+/// the header carries): seed, mode tag and parameter, window, queue
+/// bounds, admission, checker, fix tag and band, zoo, refit flag, fault
+/// plan and watchdog. Optional parts are a `0|1` flag followed, when set,
+/// by their words.
+pub(crate) fn write_config(c: &SessionConfig, out: &mut Vec<u64>) {
+    out.push(c.seed);
+    match c.mode {
+        TuningMode::TargetQuality { toq } => out.extend([0, toq.to_bits()]),
+        TuningMode::EnergyBudget { budget } => out.extend([1, budget as u64]),
+        TuningMode::BestQuality => out.push(2),
     }
-
-    /// Parses the text form back into its parts, validating the header,
-    /// every config token, and section arithmetic. The inverse of
-    /// [`SnapshotParts::encode`], bit for bit.
-    pub(crate) fn parse(text: &str) -> Result<Self, String> {
-        let mut tokens = text.split_whitespace().peekable();
-        let (magic, version) = (tokens.next(), tokens.next());
-        if magic != Some("rumba-session-snapshot") || version != Some("v1") {
-            return Err("not a rumba-session-snapshot v1".to_owned());
-        }
-
-        let mut config = SessionConfig::default();
-        let mut seen_mode = false;
-        while let Some(&token) = tokens.peek() {
-            if token == "section" {
-                break;
-            }
-            tokens.next();
-            let (key, value) =
-                token.split_once('=').ok_or_else(|| format!("malformed token {token:?}"))?;
-            match key {
-                "kernel" => config.kernel = value.to_owned(),
-                "seed" => config.seed = parse_dec(value, "seed")?,
-                "checker" => {
-                    config.checker = CheckerKind::parse(value).map_err(|e| e.to_string())?;
-                }
-                "mode" => {
-                    config.mode = parse_mode(value)?;
-                    seen_mode = true;
-                }
-                "window" => config.window = parse_dec(value, "window")? as usize,
-                "queue" => config.queue = parse_queue(value)?,
-                "admission" => {
-                    config.admission = AdmissionPolicy::parse(value).map_err(|e| e.to_string())?;
-                }
-                "fix" => config.fix_policy = parse_fix(value)?,
-                "zoo" => config.zoo = parse_dec(value, "zoo")? as usize,
-                "refit" => {
-                    if value != "1" {
-                        return Err(format!("bad refit value {value:?} (expected 1)"));
+    let q = &c.queue;
+    out.extend(
+        [c.window, q.input_capacity, q.output_capacity, q.recovery_capacity].map(|n| n as u64),
+    );
+    out.extend([c.admission as u64, c.checker as u64]);
+    match c.fix_policy {
+        FixPolicy::Reexecute => out.push(0),
+        FixPolicy::Compensate { band } => out.extend([1, band.to_bits()]),
+    }
+    out.extend([c.zoo as u64, u64::from(c.refit)]);
+    match &c.faults {
+        Some(plan) => {
+            out.extend([1, plan.seed(), plan.models().len() as u64]);
+            for model in plan.models() {
+                match *model {
+                    FaultModel::BitFlip { rate } => out.extend([0, rate.to_bits()]),
+                    FaultModel::NonFinite { rate } => out.extend([1, rate.to_bits()]),
+                    FaultModel::StuckAt { start, value } => {
+                        out.extend([2, start as u64, value.to_bits()]);
                     }
-                    config.refit = true;
-                }
-                other => return Err(format!("unknown config key {other:?}")),
-            }
-        }
-        if !seen_mode {
-            return Err("snapshot is missing the mode token".to_owned());
-        }
-
-        let mut runtime = None;
-        let mut stats = None;
-        let mut queue = None;
-        let mut completed = None;
-        while let Some(keyword) = tokens.next() {
-            if keyword != "section" {
-                return Err(format!("expected section keyword, got {keyword:?}"));
-            }
-            let name = tokens.next().ok_or("section is missing its name")?;
-            let count =
-                parse_dec(tokens.next().ok_or("section is missing its word count")?, "count")?;
-            let mut words = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let hex = tokens
-                    .next()
-                    .ok_or_else(|| format!("section {name} truncated at word {}", words.len()))?;
-                let word = u64::from_str_radix(hex, 16)
-                    .map_err(|_| format!("section {name}: bad word {hex:?}"))?;
-                words.push(word);
-            }
-            match name {
-                "faults" => config.faults = Some(decode_fault_plan(&words)?),
-                "watchdog" => {
-                    if words.len() != 3 {
-                        return Err(format!("watchdog section wants 3 words, got {}", words.len()));
+                    FaultModel::InputDrift { start, ramp, magnitude } => {
+                        out.extend([3, start as u64, ramp as u64, magnitude.to_bits()]);
                     }
-                    let patience = u32::try_from(words[1])
-                        .map_err(|_| "watchdog patience overflows u32".to_owned())?;
-                    let fallback_patience = u32::try_from(words[2])
-                        .map_err(|_| "watchdog fallback_patience overflows u32".to_owned())?;
-                    config.watchdog = Some(WatchdogConfig {
-                        quality_limit: f64::from_bits(words[0]),
-                        patience,
-                        fallback_patience,
+                    FaultModel::CheckerBlind { rate } => out.extend([4, rate.to_bits()]),
+                    FaultModel::QueuePressure { start, slots } => {
+                        out.extend([5, start as u64, slots as u64]);
+                    }
+                }
+            }
+        }
+        None => out.push(0),
+    }
+    match &c.watchdog {
+        Some(w) => out.extend([
+            1,
+            w.quality_limit.to_bits(),
+            u64::from(w.patience),
+            u64::from(w.fallback_patience),
+        ]),
+        None => out.push(0),
+    }
+}
+
+/// Reads the configuration [`write_config`] wrote. Range limits are left
+/// to `SessionConfig::validate`, the validator `open` runs too.
+pub(crate) fn read_config(kernel: &str, r: &mut WordReader) -> Result<SessionConfig, String> {
+    let any = usize::MAX;
+    let u32_max = u32::MAX as usize;
+    Ok(SessionConfig {
+        kernel: kernel.to_owned(),
+        seed: r.u64("config.seed")?,
+        mode: match r.count("config.mode", 2)? {
+            0 => TuningMode::TargetQuality { toq: r.f64("config.toq")? },
+            1 => TuningMode::EnergyBudget { budget: r.count("config.budget", any)? },
+            _ => TuningMode::BestQuality,
+        },
+        window: r.count("config.window", any)?,
+        queue: QueueConfig {
+            input_capacity: r.count("config.queue.input", any)?,
+            output_capacity: r.count("config.queue.output", any)?,
+            recovery_capacity: r.count("config.queue.recovery", any)?,
+        },
+        admission: ADMISSIONS[r.count("config.admission", ADMISSIONS.len() - 1)?],
+        checker: CHECKERS[r.count("config.checker", CHECKERS.len() - 1)?],
+        fix_policy: match r.flag("config.fix")? {
+            false => FixPolicy::Reexecute,
+            true => FixPolicy::Compensate { band: r.f64("config.fix.band")? },
+        },
+        zoo: r.count("config.zoo", any)?,
+        refit: r.flag("config.refit")?,
+        faults: match r.flag("config.faults")? {
+            false => None,
+            true => {
+                let mut plan = FaultPlan::new(r.u64("config.faults.seed")?);
+                for _ in 0..r.count("config.faults.models", r.remaining())? {
+                    plan = plan.with(match r.count("config.faults.kind", 5)? {
+                        0 => FaultModel::BitFlip { rate: r.f64("config.faults.rate")? },
+                        1 => FaultModel::NonFinite { rate: r.f64("config.faults.rate")? },
+                        2 => FaultModel::StuckAt {
+                            start: r.count("config.faults.start", any)?,
+                            value: r.f64("config.faults.value")?,
+                        },
+                        3 => FaultModel::InputDrift {
+                            start: r.count("config.faults.start", any)?,
+                            ramp: r.count("config.faults.ramp", any)?,
+                            magnitude: r.f64("config.faults.magnitude")?,
+                        },
+                        4 => FaultModel::CheckerBlind { rate: r.f64("config.faults.rate")? },
+                        _ => FaultModel::QueuePressure {
+                            start: r.count("config.faults.start", any)?,
+                            slots: r.count("config.faults.slots", any)?,
+                        },
                     });
                 }
-                "runtime" => runtime = Some(words),
-                "stats" => stats = Some(words),
-                "queue" => queue = Some(words),
-                "completed" => completed = Some(words),
-                other => return Err(format!("unknown section {other:?}")),
+                Some(plan)
             }
-        }
+        },
+        watchdog: match r.flag("config.watchdog")? {
+            false => None,
+            true => Some(WatchdogConfig {
+                quality_limit: r.f64("config.watchdog.quality_limit")?,
+                patience: r.count("config.watchdog.patience", u32_max)? as u32,
+                fallback_patience: r.count("config.watchdog.fallback_patience", u32_max)? as u32,
+            }),
+        },
+    })
+}
 
-        Ok(Self {
-            config,
-            runtime: runtime.ok_or("snapshot is missing the runtime section")?,
-            stats: stats.ok_or("snapshot is missing the stats section")?,
-            queue: queue.ok_or("snapshot is missing the queue section")?,
-            completed: completed.ok_or("snapshot is missing the completed section")?,
+/// The session state a snapshot carries after its configuration.
+pub(crate) struct SessionState<'a> {
+    /// `RumbaSystem::export_state` words, decoded once the session is
+    /// assembled (their layout depends on the armed zoo and refit).
+    pub(crate) runtime: &'a [u64],
+    pub(crate) stats: SessionStats,
+    pub(crate) rows: usize,
+    pub(crate) inputs: &'a [u64],
+    pub(crate) completed: VecDeque<SessionResult>,
+}
+
+/// Appends a session's state: the runtime words as a block, the stats,
+/// the queued rows, the uncollected results.
+pub(crate) fn write_state(
+    out: &mut Vec<u64>,
+    runtime: &[u64],
+    s: &SessionStats,
+    rows: usize,
+    inputs: &[f64],
+    completed: &VecDeque<SessionResult>,
+) {
+    push_block(out, runtime);
+    out.extend([
+        s.submitted,
+        s.processed,
+        s.fixes,
+        s.compensated,
+        s.shed,
+        s.blocked,
+        s.queue_high_water as u64,
+        s.error_sum.to_bits(),
+        s.drains,
+        s.back_pressured_drains,
+        s.recovery_high_water as u64,
+        s.total_cycles.to_bits(),
+        s.cpu_busy_cycles.to_bits(),
+        s.final_threshold.to_bits(),
+    ]);
+    out.push(rows as u64);
+    out.extend(inputs.iter().map(|x| x.to_bits()));
+    out.push(completed.len() as u64);
+    for r in completed {
+        out.extend([
+            r.index as u64,
+            u64::from(r.fired),
+            r.predicted_error.to_bits(),
+            r.measured_error.to_bits(),
+        ]);
+        out.extend(r.output.iter().map(|x| x.to_bits()));
+    }
+}
+
+/// Reads what [`write_state`] wrote, bounded by the validated config's
+/// queue capacity and the kernel's dimensions, and rejects trailing
+/// words.
+pub(crate) fn read_state<'a>(
+    r: &mut WordReader<'a>,
+    config: &SessionConfig,
+    kernel: &dyn Kernel,
+) -> Result<SessionState<'a>, String> {
+    let any = usize::MAX;
+    let capacity = config.queue.input_capacity;
+    let runtime = r.block("runtime")?;
+    let stats = SessionStats {
+        submitted: r.u64("stats.submitted")?,
+        processed: r.u64("stats.processed")?,
+        fixes: r.u64("stats.fixes")?,
+        compensated: r.u64("stats.compensated")?,
+        shed: r.u64("stats.shed")?,
+        blocked: r.u64("stats.blocked")?,
+        queue_high_water: r.count("stats.queue_high_water", capacity)?,
+        error_sum: r.f64("stats.error_sum")?,
+        drains: r.u64("stats.drains")?,
+        back_pressured_drains: r.u64("stats.back_pressured_drains")?,
+        recovery_high_water: r.count("stats.recovery_high_water", any)?,
+        total_cycles: r.f64("stats.total_cycles")?,
+        cpu_busy_cycles: r.f64("stats.cpu_busy_cycles")?,
+        final_threshold: r.f64("stats.final_threshold")?,
+    };
+    let rows = r.count("queue.rows", capacity)?;
+    let inputs = r.words("queue.inputs", rows * kernel.input_dim())?;
+    let out_dim = kernel.output_dim();
+    let count = r.count("completed.count", r.remaining() / (4 + out_dim))?;
+    let completed = (0..count)
+        .map(|_| {
+            Ok(SessionResult {
+                index: r.count("completed.index", any)?,
+                fired: r.flag("completed.fired")?,
+                predicted_error: r.f64("completed.predicted")?,
+                measured_error: r.f64("completed.measured")?,
+                output: r
+                    .words("completed.output", out_dim)?
+                    .iter()
+                    .map(|&w| f64::from_bits(w))
+                    .collect(),
+            })
         })
-    }
+        .collect::<Result<_, String>>()?;
+    r.finish("stream")?;
+    Ok(SessionState { runtime, stats, rows, inputs, completed })
 }
 
-fn push_section(out: &mut String, name: &str, words: &[u64]) {
-    use std::fmt::Write;
-    let _ = write!(out, " section {name} {}", words.len());
-    for w in words {
-        let _ = write!(out, " {w:016x}");
-    }
+/// Re-encodes `text` with its configuration edited by `edit` and every
+/// state word kept — how tests prove that `restore` refuses what `open`
+/// refuses, and that state taken under one configuration does not load
+/// under another.
+#[cfg(test)]
+pub(crate) fn edit_config(text: &str, edit: impl FnOnce(&mut SessionConfig)) -> String {
+    let (kernel, words) = decode(text).unwrap();
+    let mut r = WordReader::new(&words);
+    let mut config = read_config(kernel, &mut r).unwrap();
+    edit(&mut config);
+    let mut edited = Vec::new();
+    write_config(&config, &mut edited);
+    edited.extend_from_slice(r.words("state", r.remaining()).unwrap());
+    encode(&config.kernel, &edited)
 }
 
-fn parse_dec(text: &str, what: &str) -> Result<u64, String> {
-    text.parse::<u64>().map_err(|_| format!("bad {what} value {text:?}"))
-}
-
-fn parse_mode(value: &str) -> Result<TuningMode, String> {
-    if value == "best" {
-        return Ok(TuningMode::BestQuality);
-    }
-    let (tag, param) =
-        value.split_once(':').ok_or_else(|| format!("malformed mode token {value:?}"))?;
-    match tag {
-        "toq" => {
-            let bits =
-                u64::from_str_radix(param, 16).map_err(|_| format!("bad toq bits {param:?}"))?;
-            Ok(TuningMode::TargetQuality { toq: f64::from_bits(bits) })
-        }
-        "energy" => Ok(TuningMode::EnergyBudget { budget: parse_dec(param, "budget")? as usize }),
-        other => Err(format!("unknown mode {other:?}")),
-    }
-}
-
-fn parse_fix(value: &str) -> Result<FixPolicy, String> {
-    let Some(("comp", bits)) = value.split_once(':') else {
-        return Err(format!("malformed fix token {value:?} (expected comp:<band bits>)"));
-    };
-    let bits = u64::from_str_radix(bits, 16).map_err(|_| format!("bad band bits {bits:?}"))?;
-    Ok(FixPolicy::Compensate { band: f64::from_bits(bits) })
-}
-
-fn parse_queue(value: &str) -> Result<QueueConfig, String> {
-    let mut it = value.split(',');
-    let mut next = |what: &str| -> Result<usize, String> {
-        Ok(parse_dec(it.next().ok_or_else(|| format!("queue token missing {what}"))?, what)?
-            as usize)
-    };
-    let config = QueueConfig {
-        input_capacity: next("input_capacity")?,
-        output_capacity: next("output_capacity")?,
-        recovery_capacity: next("recovery_capacity")?,
-    };
-    if it.next().is_some() {
-        return Err(format!("queue token has trailing fields: {value:?}"));
-    }
-    Ok(config)
-}
-
-/// `[plan seed, model count, (tag, p0, p1, p2) per model]` — numeric
-/// params as raw bits (floats) or plain values (indices/counts), so the
-/// decoded plan compares equal to the original and replays the identical
-/// fault stream.
-fn encode_fault_plan(plan: &FaultPlan) -> Vec<u64> {
-    let mut words = Vec::with_capacity(2 + 4 * plan.models().len());
-    words.push(plan.seed());
-    words.push(plan.models().len() as u64);
-    for model in plan.models() {
-        let (tag, p0, p1, p2) = match *model {
-            FaultModel::BitFlip { rate } => (0, rate.to_bits(), 0, 0),
-            FaultModel::NonFinite { rate } => (1, rate.to_bits(), 0, 0),
-            FaultModel::StuckAt { start, value } => (2, start as u64, value.to_bits(), 0),
-            FaultModel::InputDrift { start, ramp, magnitude } => {
-                (3, start as u64, ramp as u64, magnitude.to_bits())
-            }
-            FaultModel::CheckerBlind { rate } => (4, rate.to_bits(), 0, 0),
-            FaultModel::QueuePressure { start, slots } => (5, start as u64, slots as u64, 0),
-        };
-        words.extend([tag, p0, p1, p2]);
-    }
-    words
-}
-
-fn decode_fault_plan(words: &[u64]) -> Result<FaultPlan, String> {
-    let [seed, count, models @ ..] = words else {
-        return Err("faults section wants at least 2 words".to_owned());
-    };
-    if models.len() != *count as usize * 4 {
-        return Err(format!(
-            "faults section declares {count} models but carries {} param words",
-            models.len()
-        ));
-    }
-    let mut plan = FaultPlan::new(*seed);
-    for chunk in models.chunks_exact(4) {
-        let [tag, p0, p1, p2] = [chunk[0], chunk[1], chunk[2], chunk[3]];
-        let model = match tag {
-            0 => FaultModel::BitFlip { rate: f64::from_bits(p0) },
-            1 => FaultModel::NonFinite { rate: f64::from_bits(p0) },
-            2 => FaultModel::StuckAt { start: p0 as usize, value: f64::from_bits(p1) },
-            3 => FaultModel::InputDrift {
-                start: p0 as usize,
-                ramp: p1 as usize,
-                magnitude: f64::from_bits(p2),
-            },
-            4 => FaultModel::CheckerBlind { rate: f64::from_bits(p0) },
-            5 => FaultModel::QueuePressure { start: p0 as usize, slots: p1 as usize },
-            other => return Err(format!("unknown fault model tag {other}")),
-        };
-        plan = plan.with(model);
-    }
-    Ok(plan)
+/// The configuration a snapshot carries.
+#[cfg(test)]
+pub(crate) fn config_of(text: &str) -> SessionConfig {
+    let (kernel, words) = decode(text).unwrap();
+    read_config(kernel, &mut WordReader::new(&words)).unwrap()
 }
 
 #[cfg(test)]
@@ -358,113 +366,105 @@ mod tests {
         }
     }
 
+    /// Every config shape round-trips through the words and the text form
+    /// bit for bit, and re-encodes to the same bytes.
     #[test]
-    fn parts_round_trip_exactly() {
-        let parts = SnapshotParts {
-            config: rich_config(),
-            runtime: vec![0.25f64.to_bits(), 7, u64::MAX],
-            stats: vec![1; 13],
-            queue: vec![2, 0.5f64.to_bits(), 0.75f64.to_bits()],
-            completed: vec![0],
-        };
-        let text = parts.encode();
-        assert!(!text.contains('\n'));
-        let back = SnapshotParts::parse(&text).unwrap();
-        assert_eq!(back.config.kernel, parts.config.kernel);
-        assert_eq!(back.config.faults, parts.config.faults);
-        assert_eq!(back.config.watchdog, parts.config.watchdog);
-        assert_eq!(back, parts);
-        // Encoding the parse is byte-identical: the codec is canonical.
-        assert_eq!(back.encode(), text);
+    fn configs_round_trip_exactly() {
+        let mut configs = vec![SessionConfig::default(), rich_config()];
+        for (i, checker) in CHECKERS.into_iter().enumerate() {
+            let mode = [
+                TuningMode::BestQuality,
+                TuningMode::EnergyBudget { budget: 5 },
+                TuningMode::TargetQuality { toq: 0.8 },
+                TuningMode::BestQuality,
+            ][i];
+            configs.push(SessionConfig { checker, mode, ..SessionConfig::default() });
+        }
+        configs.push(SessionConfig { faults: Some(FaultPlan::new(3)), ..SessionConfig::default() });
+        for config in configs {
+            let mut words = Vec::new();
+            write_config(&config, &mut words);
+            words.push(u64::MAX);
+            let text = encode(&config.kernel, &words);
+            assert!(!text.contains('\n'));
+            let (kernel, back_words) = decode(&text).unwrap();
+            assert_eq!(back_words, words);
+            let mut r = WordReader::new(&back_words);
+            let back = read_config(kernel, &mut r).unwrap();
+            assert_eq!(r.u64("tail").unwrap(), u64::MAX);
+            r.finish("end").unwrap();
+            assert_eq!(back, config);
+        }
     }
 
     #[test]
-    fn parse_rejects_corruption() {
-        let parts = SnapshotParts {
-            config: SessionConfig::default(),
-            runtime: vec![1, 2],
-            stats: vec![0; 13],
-            queue: vec![0],
-            completed: vec![0],
-        };
-        let text = parts.encode();
-        assert!(SnapshotParts::parse("rumba-trained-model-cache v1").is_err());
-        assert!(SnapshotParts::parse(&text.replace("v1", "v2")).is_err());
-        assert!(
-            SnapshotParts::parse(&text.replace("section stats 13", "section stats 14")).is_err()
+    fn text_form_is_strict() {
+        let text = encode("gaussian", &[0x2a, 0xdead_beef]);
+        assert_eq!(
+            text,
+            "rumba-session-snapshot v2 kernel=gaussian 000000000000002a 00000000deadbeef"
         );
-        assert!(SnapshotParts::parse(text.trim_end_matches(char::is_alphanumeric)).is_err());
-        let truncated = text.rsplit_once(' ').unwrap().0;
-        assert!(SnapshotParts::parse(truncated).is_err());
+        assert_eq!(decode(&text).unwrap(), ("gaussian", vec![0x2a, 0xdead_beef]));
+        for bad in [
+            "rumba-trained-model-cache v1".to_owned(),
+            text.replace("v2", "v1"),
+            text.replace("beef", "BEEF"),
+            text.replace(" 00000000", "  00000000"),
+            text.replace("002a", "02a"),
+            text.replace("002a", "+02a"),
+            format!("{text} "),
+            format!("{text}\n"),
+        ] {
+            assert!(decode(&bad).is_err(), "accepted {bad:?}");
+        }
     }
 
+    /// A live session's snapshot carries its whole opening configuration,
+    /// the compensation band and the refit flag included, so `restore`
+    /// rebuilds the same pipeline.
     #[test]
-    fn default_fix_policy_leaves_the_encoding_untouched() {
-        let parts = SnapshotParts {
-            config: SessionConfig::default(),
-            runtime: vec![1],
-            stats: vec![0; 13],
-            queue: vec![0],
-            completed: vec![0],
+    fn a_live_snapshot_carries_its_configuration() {
+        let config = SessionConfig {
+            fix_policy: FixPolicy::Compensate { band: 0.3 },
+            watchdog: Some(WatchdogConfig::default()),
+            refit: true,
+            ..SessionConfig::default()
         };
-        let text = parts.encode();
-        assert!(!text.contains("fix="), "{text}");
-        assert_eq!(SnapshotParts::parse(&text).unwrap().config.fix_policy, FixPolicy::Reexecute);
-
-        let comp = SnapshotParts {
-            config: SessionConfig {
-                fix_policy: FixPolicy::Compensate { band: 0.25 },
-                ..SessionConfig::default()
-            },
-            ..parts
-        };
-        let comp_text = comp.encode();
-        assert!(comp_text.contains("fix=comp:"), "{comp_text}");
-        assert_eq!(SnapshotParts::parse(&comp_text).unwrap(), comp);
-        assert!(SnapshotParts::parse(&comp_text.replace("comp:", "warp:")).is_err());
+        let session = crate::Session::open("t0", config.clone()).unwrap();
+        assert_eq!(config_of(&session.snapshot()), config);
     }
 
+    /// Fault rates outside [0, 1] decode (the words are well formed) but
+    /// fail the shared validator, which `restore` runs like `open`.
     #[test]
-    fn zoo_less_sessions_leave_the_encoding_untouched() {
-        let parts = SnapshotParts {
-            config: SessionConfig::default(),
-            runtime: vec![1],
-            stats: vec![0; 13],
-            queue: vec![0],
-            completed: vec![0],
+    fn out_of_range_fault_rates_fail_the_shared_validator() {
+        let config = SessionConfig {
+            faults: Some(FaultPlan::new(1).with(FaultModel::BitFlip { rate: 5.0 })),
+            ..SessionConfig::default()
         };
-        let text = parts.encode();
-        assert!(!text.contains("zoo="), "{text}");
-        assert_eq!(SnapshotParts::parse(&text).unwrap().config.zoo, 0);
-
-        let zooed =
-            SnapshotParts { config: SessionConfig { zoo: 3, ..SessionConfig::default() }, ..parts };
-        let zoo_text = zooed.encode();
-        assert!(zoo_text.contains(" zoo=3 "), "{zoo_text}");
-        assert_eq!(SnapshotParts::parse(&zoo_text).unwrap(), zooed);
-        assert!(SnapshotParts::parse(&zoo_text.replace("zoo=3", "zoo=x")).is_err());
+        let mut words = Vec::new();
+        write_config(&config, &mut words);
+        let back = read_config("gaussian", &mut WordReader::new(&words)).unwrap();
+        assert!(back.validate().unwrap_err().to_string().contains("outside [0, 1]"));
     }
 
+    /// A fault section that declares 2^62 models is rejected before any
+    /// model is read: the count is bounded by the words that remain.
     #[test]
-    fn refit_less_sessions_leave_the_encoding_untouched() {
-        let parts = SnapshotParts {
-            config: SessionConfig::default(),
-            runtime: vec![1],
-            stats: vec![0; 13],
-            queue: vec![0],
-            completed: vec![0],
+    fn a_huge_fault_model_count_is_rejected_without_panicking() {
+        let config = SessionConfig {
+            faults: Some(FaultPlan::new(1).with(FaultModel::BitFlip { rate: 0.5 })),
+            ..SessionConfig::default()
         };
-        let text = parts.encode();
-        assert!(!text.contains("refit="), "{text}");
-        assert!(!SnapshotParts::parse(&text).unwrap().config.refit);
-
-        let armed = SnapshotParts {
-            config: SessionConfig { refit: true, ..SessionConfig::default() },
-            ..parts
-        };
-        let armed_text = armed.encode();
-        assert!(armed_text.contains(" refit=1 "), "{armed_text}");
-        assert_eq!(SnapshotParts::parse(&armed_text).unwrap(), armed);
-        assert!(SnapshotParts::parse(&armed_text.replace("refit=1", "refit=2")).is_err());
+        let (mut plain, mut words) = (Vec::new(), Vec::new());
+        write_config(&SessionConfig::default(), &mut plain);
+        write_config(&config, &mut words);
+        // Both end in the faults flag and the watchdog flag; the faulted
+        // config's flag is followed by the plan seed and the model count.
+        let count = plain.len();
+        assert_eq!(words[count], 1, "the model count word");
+        words[count] = 1 << 62;
+        let err = read_config("gaussian", &mut WordReader::new(&words)).unwrap_err();
+        assert!(err.starts_with("config.faults.models:"), "{err}");
     }
 }

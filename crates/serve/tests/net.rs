@@ -557,48 +557,6 @@ fn open_compensate_tight_req(name: &str, band: f64) -> String {
     open_compensate_req(name, band).replacen("\"toq\":0.9,", "\"toq\":0.995,", 1)
 }
 
-/// Restoring a snapshot onto a differently-configured checker must fail
-/// in-band: the config word embedded in the exported checker state
-/// detects the mismatch before any coefficients are imported, instead of
-/// silently priming an incompatible predictor with another model's state.
-#[test]
-fn restore_under_a_different_checker_is_rejected_in_band() {
-    let data = workload();
-    let mut rt = ServeRuntime::new();
-    let mut head: Vec<(String, &str)> = vec![(open_req("t0"), "open")];
-    for k in 0..6 {
-        head.push((invoke_req("t0", data.input((k * 7) % data.len())), "invoke"));
-    }
-    head.push(("{\"op\":\"drain\",\"session\":\"t0\"}".to_owned(), "drain"));
-    replay(&mut rt, &head);
-    let (snap, _) = handle_line(&mut rt, "{\"op\":\"snapshot\",\"session\":\"t0\"}");
-    let state = parse_object(&snap[0]).unwrap().string("state").expect("state").to_owned();
-    drop(rt);
-
-    // Tamper the config line: claim the snapshot was taken under a tree
-    // checker. The embedded checker state still carries the EMA config
-    // word, so the restore must be refused.
-    assert!(state.contains("checker=ema"), "snapshot must name its checker: {state}");
-    let tampered = state.replace("checker=ema", "checker=tree");
-
-    let restore_req = |state: &str| {
-        let mut w = JsonWriter::object("request");
-        w.string("op", "restore").string("session", "t1").string("state", state);
-        w.finish().replacen("\"type\":\"request\",", "", 1)
-    };
-    let mut rt = ServeRuntime::new();
-    let (lines, shutdown) = handle_line(&mut rt, &restore_req(&tampered));
-    assert!(!shutdown);
-    assert_eq!(lines.len(), 1, "{lines:?}");
-    assert!(lines[0].starts_with("{\"type\":\"error\""), "{lines:?}");
-    assert!(lines[0].contains("checker config mismatch"), "{lines:?}");
-
-    // The rejection is clean: the same runtime still accepts the
-    // untampered snapshot afterwards.
-    let (ack, _) = handle_line(&mut rt, &restore_req(&state));
-    assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"restore\""), "{ack:?}");
-}
-
 /// A compensating session survives snapshot → restore → continue bit for
 /// bit: the band travels in the config line, the compensation counter in
 /// the runtime state, and the continuation replays identically to the
@@ -623,7 +581,6 @@ fn compensating_snapshot_restore_continue_is_bitwise_identical() {
     replay(&mut rt, &head);
     let (snap, _) = handle_line(&mut rt, "{\"op\":\"snapshot\",\"session\":\"t0\"}");
     let state = parse_object(&snap[0]).unwrap().string("state").expect("state").to_owned();
-    assert!(state.contains("fix=comp:"), "compensating snapshot must carry its band: {state}");
     drop(rt);
 
     let mut rt = ServeRuntime::new();

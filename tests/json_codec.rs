@@ -4,6 +4,8 @@
 //!   edge sets plus seeded random bit patterns here, and 50M more in the
 //!   `#[ignore]`d release run that `ci.sh` makes.
 //! - Writer output parses back to bit-identical floats and equal strings.
+//! - Numbers follow the JSON grammar and must be finite: `01`, `1.`,
+//!   `-.5` and `1e5000` are rejected in-band.
 //! - Mutated request lines never panic the parser or the protocol; they
 //!   are rejected in-band, or parse to an object that round-trips.
 
@@ -202,6 +204,43 @@ fn unicode_escapes_take_exactly_four_hex_digits() {
     {
         assert!(read(bad).is_err(), "accepted {bad:?}");
     }
+}
+
+#[test]
+fn numbers_follow_the_json_grammar_and_stay_finite() {
+    let read = |s: &str| parse_object(&format!("{{\"n\":{s}}}")).map(|o| o.number("n"));
+    for (good, want) in [
+        ("0", 0.0),
+        ("-0", -0.0),
+        ("7", 7.0),
+        ("-12.5", -12.5),
+        ("0.25", 0.25),
+        ("1e5", 1e5),
+        ("1E+2", 100.0),
+        ("2.5e-3", 2.5e-3),
+        ("-0.0e0", -0.0),
+        ("1.7976931348623157e308", f64::MAX),
+        ("1e-400", 0.0),
+    ] {
+        let v = read(good).unwrap().unwrap_or_else(|| panic!("{good} is no number"));
+        assert_eq!(v.to_bits(), want.to_bits(), "{good}");
+    }
+    for bad in [
+        "01", "-01", "00", "1.", "-.5", ".5", "+1", "-", "1e", "1e+", "1.e3", "1.5.3", "1e5000",
+        "-1e5000", "1.8e308", "0x10", "1_0", "--1",
+    ] {
+        assert!(read(bad).is_err(), "accepted {bad:?}");
+    }
+    // Arrays take the same grammar, element by element.
+    assert!(parse_object("{\"v\":[1,01]}").is_err());
+    assert!(parse_object("{\"v\":[1e999]}").is_err());
+    // A request carrying an out-of-grammar number is answered in-band.
+    let mut rt = ServeRuntime::new();
+    let (lines, shutdown) =
+        handle_line(&mut rt, "{\"op\":\"stats\",\"session\":\"s\",\"n\":1e5000}");
+    assert!(!shutdown);
+    assert!(lines[0].starts_with("{\"type\":\"error\""), "{lines:?}");
+    assert!(lines[0].contains("bad number"), "{lines:?}");
 }
 
 /// Re-writes a parsed object (when its values are in the writer's
