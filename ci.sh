@@ -113,16 +113,20 @@ RUMBA_THREADS=1 cargo test -q -p rumba-serve >/dev/null
 RUMBA_THREADS=4 cargo test -q -p rumba-serve >/dev/null
 echo "    rumba-serve suites green at RUMBA_THREADS=1 and 4"
 
-echo "==> snapshot codec in release: mutation property and word-reader cases"
+echo "==> word codecs in release: snapshot and cache mutation properties, word-reader cases"
 # Every truncated, digit-flipped, overwritten or kernel-swapped snapshot
 # must be rejected or restore to a session that re-snapshots to the same
-# bytes, and oversized lengths must be refused. The debug runs have
+# bytes; every truncated, digit-flipped or count-overwritten cache entry
+# must read as a miss or load models that store back to the same text;
+# oversized lengths and counts must be refused. The debug runs have
 # overflow checks; release wraps instead, which would let a missing bound
 # decode silently, so these suites run again here.
 cargo test -q --release -p rumba-serve --test snapshot_mutation >/dev/null
+cargo test -q --release -p rumba-serve --test cache_mutation >/dev/null
 cargo test -q --release -p rumba-serve --lib snapshot:: >/dev/null
-cargo test -q --release -p rumba-core --lib -- words:: import_state zoo_pressure_above >/dev/null
-echo "    mutated snapshots restore identically or not at all (release)"
+cargo test -q --release -p rumba-obs --lib -- words:: >/dev/null
+cargo test -q --release -p rumba-core --lib -- import_state zoo_pressure_above >/dev/null
+echo "    mutated snapshots and cache entries decode identically or not at all (release)"
 
 echo "==> benchmark harness: perfbench builds and tests against the workspace crates"
 # perfbench depends on crates/* by path but sits outside the root

@@ -3,6 +3,7 @@
 //! (MAC chain for the linear model, comparator walk for the tree, one
 //! multiply-add for the EMA).
 
+use rumba_obs::words::WordReader;
 use rumba_predict::{CheckerCost, ErrorEstimator};
 
 /// A checker datapath wrapping an [`ErrorEstimator`] with a hardware cycle
@@ -136,13 +137,14 @@ impl CheckerUnit {
     }
 
     /// Restores trained-model words produced by
-    /// [`CheckerUnit::export_model`], refreshing the cycle model.
+    /// [`CheckerUnit::export_model`] for input rows `input_dim` wide,
+    /// refreshing the cycle model.
     ///
     /// # Errors
     ///
     /// Propagates the estimator's decode errors.
-    pub fn import_model(&mut self, words: &[u64]) -> Result<(), String> {
-        self.estimator.import_model_words(words)?;
+    pub fn import_model(&mut self, words: &[u64], input_dim: usize) -> Result<(), String> {
+        self.estimator.import_model_words(words, input_dim)?;
         self.cycles = cycles_of(self.estimator.cost());
         Ok(())
     }
@@ -168,10 +170,9 @@ impl CheckerUnit {
     /// (another kind, another EMA window, another model shape) can share a
     /// word count and would otherwise corrupt online state silently.
     pub fn import_state(&mut self, words: &[u64]) -> Result<(), String> {
-        if words.len() < 2 {
-            return Err(format!("checker state wants at least 2 words, got {}", words.len()));
-        }
-        let (predictions, config_word, rest) = (words[0], words[1], &words[2..]);
+        let mut r = WordReader::new(words);
+        let predictions = r.u64("checker.predictions")?;
+        let config_word = r.u64("checker.config")?;
         let expected = self.estimator.state_config_word();
         if config_word != expected {
             return Err(format!(
@@ -180,7 +181,7 @@ impl CheckerUnit {
                 self.estimator.name()
             ));
         }
-        self.estimator.import_state(rest)?;
+        self.estimator.import_state(r.words("checker.state", r.remaining())?)?;
         self.predictions = predictions;
         Ok(())
     }
@@ -277,7 +278,7 @@ mod tests {
         let mut fresh = CheckerUnit::new(Box::new(
             TreeErrors::train(&refs, &flat, &TreeParams::default()).unwrap(),
         ));
-        fresh.import_model(&words).unwrap();
+        fresh.import_model(&words, 1).unwrap();
         assert_eq!(fresh.export_model().unwrap(), words);
         assert_eq!(fresh.cycles_per_prediction(), unit.cycles_per_prediction());
 
@@ -285,7 +286,7 @@ mod tests {
         let mut ema = CheckerUnit::new(Box::new(EmaDetector::new(4, 1).unwrap()));
         assert!(ema.refit(&refs, &wavy, &signed).is_err());
         assert!(ema.export_model().is_none());
-        assert!(ema.import_model(&words).is_err());
+        assert!(ema.import_model(&words, 1).is_err());
     }
 
     #[test]

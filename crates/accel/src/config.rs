@@ -8,7 +8,7 @@
 //! [`DeploymentImage::transfer`] accounts the queue bursts and cycles the
 //! upload costs.
 
-use rumba_nn::{decode_model, NnError, TrainedModel};
+use rumba_nn::decode_model;
 
 use crate::queue::Fifo;
 use crate::{Npu, NpuParams};
@@ -37,8 +37,8 @@ use crate::{Npu, NpuParams};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentImage {
-    npu_words: Vec<f64>,
-    checker_words: Vec<f64>,
+    npu_words: Vec<u64>,
+    checker_words: Vec<u64>,
 }
 
 /// Cost accounting for one config upload.
@@ -59,19 +59,19 @@ impl DeploymentImage {
     /// [`rumba_predict::encode_linear`]: https://docs.rs/rumba-predict
     /// [`rumba_predict::encode_tree`]: https://docs.rs/rumba-predict
     #[must_use]
-    pub fn new(npu_words: Vec<f64>, checker_words: Vec<f64>) -> Self {
+    pub fn new(npu_words: Vec<u64>, checker_words: Vec<u64>) -> Self {
         Self { npu_words, checker_words }
     }
 
     /// The accelerator's portion of the stream.
     #[must_use]
-    pub fn npu_words(&self) -> &[f64] {
+    pub fn npu_words(&self) -> &[u64] {
         &self.npu_words
     }
 
     /// The checker's coefficient portion of the stream (may be empty).
     #[must_use]
-    pub fn checker_words(&self) -> &[f64] {
+    pub fn checker_words(&self) -> &[u64] {
         &self.checker_words
     }
 
@@ -86,9 +86,8 @@ impl DeploymentImage {
     /// # Errors
     ///
     /// Propagates decode failures for corrupt or truncated images.
-    pub fn instantiate_npu(&self, params: NpuParams) -> Result<Npu, NnError> {
-        let model: TrainedModel = decode_model(&self.npu_words)?;
-        Ok(Npu::new(model, params))
+    pub fn instantiate_npu(&self, params: NpuParams) -> Result<Npu, String> {
+        Ok(Npu::new(decode_model(&self.npu_words)?, params))
     }
 
     /// Streams the image through a config queue of the given capacity,
@@ -99,7 +98,7 @@ impl DeploymentImage {
     /// Panics if `queue_capacity` is zero (a queue cannot hold nothing).
     #[must_use]
     pub fn transfer(&self, queue_capacity: usize, cycles_per_word: u64) -> TransferReport {
-        let mut queue: Fifo<f64> = Fifo::new(queue_capacity);
+        let mut queue: Fifo<u64> = Fifo::new(queue_capacity);
         let mut bursts = 0usize;
         let mut words = 0usize;
         for &w in self.npu_words.iter().chain(&self.checker_words) {
@@ -122,7 +121,7 @@ impl DeploymentImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rumba_nn::{encode_model, Activation, NnDataset, TrainParams};
+    use rumba_nn::{encode_model, Activation, NnDataset, TrainParams, TrainedModel};
 
     fn image() -> DeploymentImage {
         let data = NnDataset::from_fn(2, 1, 48, |i, x, y| {
@@ -134,7 +133,7 @@ mod tests {
         let model =
             TrainedModel::fit(&[2, 4, 1], Activation::Sigmoid, &data, &TrainParams::default(), 3)
                 .unwrap();
-        DeploymentImage::new(encode_model(&model), vec![1.0, 2.0, 3.0])
+        DeploymentImage::new(encode_model(&model), vec![1, 2, 3])
     }
 
     #[test]
@@ -156,7 +155,7 @@ mod tests {
     #[test]
     fn corrupt_image_fails_to_instantiate() {
         let mut img = image();
-        img.npu_words[0] = -1.0;
+        img.npu_words[0] = (-1f64).to_bits();
         assert!(img.instantiate_npu(NpuParams::default()).is_err());
     }
 

@@ -12,6 +12,23 @@
 //! bit-exact. A cache hit therefore produces byte-identical downstream
 //! results to a fresh training run.
 //!
+//! Any malformed file reads as a miss (and retrains). That holds because
+//! each section is decoded by its model's one config-stream decoder
+//! ([`decode_model`], [`decode_linear`], [`decode_tree`], [`decode_evp`],
+//! [`LinearModel::read_words`] for zoo routers), all reading through one
+//! [`WordReader`]:
+//! - a section's words are collected as they are parsed, so its declared
+//!   count never sizes an allocation, and must match what was parsed;
+//! - every count word must be a whole `f64` no larger than the words that
+//!   remain behind it (a network's parameter count is computed with
+//!   checked arithmetic and compared before the network is built);
+//! - tags, flags and activation codes must be their exact canonical
+//!   words, so an accepted section re-encodes to the same words;
+//! - a tree split must read a feature inside the accelerator's input
+//!   width, and splits may nest at most
+//!   [`MAX_DECODE_DEPTH`](rumba_predict::MAX_DECODE_DEPTH) deep;
+//! - trailing words in any section are rejected.
+//!
 //! Keys combine the kernel name, its accelerator topologies, the full
 //! offline configuration (seed included), and the per-kernel training
 //! hyper-parameters; changing any of these — most importantly the seed —
@@ -27,6 +44,7 @@ use std::path::{Path, PathBuf};
 
 use rumba_accel::{Npu, NpuParams};
 use rumba_nn::{decode_model, encode_model, TrainParams, TrainedModel};
+use rumba_obs::words::{push_f64s, read_all, whole, WordReader};
 use rumba_predict::{
     decode_evp, decode_linear, decode_tree, encode_evp, encode_linear, encode_tree, EvpErrors,
     LinearErrors, LinearModel, TreeErrors,
@@ -332,50 +350,60 @@ fn cache_key(
     hash
 }
 
-fn push_section(out: &mut String, name: &str, words: &[f64]) {
+fn push_section(out: &mut String, name: &str, words: &[u64]) {
     let _ = writeln!(out, "section {name} {}", words.len());
     for chunk in words.chunks(16) {
-        let line: Vec<String> = chunk.iter().map(|w| format!("{:016x}", w.to_bits())).collect();
+        let line: Vec<String> = chunk.iter().map(|w| format!("{w:016x}")).collect();
         let _ = writeln!(out, "{}", line.join(" "));
     }
 }
 
+/// The envelope's first two lines.
+fn entry_head(kernel_name: &str) -> String {
+    format!("{FORMAT_HEADER}\nkernel {kernel_name}\n")
+}
+
 fn write_entry(path: &Path, kernel_name: &str, models: &CachedModels) -> std::io::Result<()> {
-    let mut text = String::new();
-    let _ = writeln!(text, "{FORMAT_HEADER}");
-    let _ = writeln!(text, "kernel {kernel_name}");
+    let mut text = entry_head(kernel_name);
     push_section(&mut text, "rumba_model", &encode_model(&models.rumba_model));
     push_section(&mut text, "baseline_model", &encode_model(&models.baseline_model));
     push_section(&mut text, "linear", &encode_linear(&models.linear));
     push_section(&mut text, "tree", &encode_tree(&models.tree));
     push_section(&mut text, "evp", &encode_evp(&models.evp));
-    push_section(&mut text, "train_errors", &models.train_errors);
+    let mut errors = Vec::new();
+    push_f64s(&mut errors, &models.train_errors);
+    push_section(&mut text, "train_errors", &errors);
+    write_atomically(path, &text)
+}
 
+/// Write-then-rename so a concurrently reading binary never sees a
+/// half-written entry; the counter keeps concurrent writers within one
+/// process (test threads) off each other's temp files.
+fn write_atomically(path: &Path, text: &str) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    // Write-then-rename so a concurrently reading binary never sees a
-    // half-written entry; the counter keeps concurrent writers within one
-    // process (test threads) off each other's temp files.
     static WRITE_SERIAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let serial = WRITE_SERIAL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let tmp = path.with_extension(format!("tmp.{}.{serial}", std::process::id()));
-    fs::write(&tmp, &text)?;
+    fs::write(&tmp, text)?;
     fs::rename(&tmp, path)
 }
 
 /// Parses the shared envelope — format header, `kernel <name>` line, and
 /// the counted hex-word sections — that both the per-app entry and the
-/// zoo entry use. Returns `None` for any malformed line or count.
-fn parse_sections(text: &str) -> Option<Vec<(String, Vec<f64>)>> {
+/// zoo entry use. Returns `None` for any malformed line or count. Words
+/// are collected as they are parsed, so a section's declared count never
+/// sizes an allocation.
+fn parse_sections(text: &str) -> Option<Vec<(String, Vec<u64>)>> {
     let mut lines = text.lines();
     if lines.next()? != FORMAT_HEADER {
         return None;
     }
     let _kernel = lines.next()?.strip_prefix("kernel ")?;
 
-    let mut sections: Vec<(String, Vec<f64>)> = Vec::new();
-    let mut current: Option<(String, usize, Vec<f64>)> = None;
+    let mut sections: Vec<(String, Vec<u64>)> = Vec::new();
+    let mut current: Option<(String, usize, Vec<u64>)> = None;
     for line in lines {
         if let Some(rest) = line.strip_prefix("section ") {
             if let Some((name, expected, words)) = current.take() {
@@ -388,7 +416,7 @@ fn parse_sections(text: &str) -> Option<Vec<(String, Vec<f64>)>> {
             current = Some((name.to_owned(), count.parse().ok()?, Vec::new()));
         } else if let Some((_, _, words)) = current.as_mut() {
             for tok in line.split_whitespace() {
-                words.push(f64::from_bits(u64::from_str_radix(tok, 16).ok()?));
+                words.push(u64::from_str_radix(tok, 16).ok()?);
             }
         } else if !line.trim().is_empty() {
             return None;
@@ -406,96 +434,83 @@ fn parse_sections(text: &str) -> Option<Vec<(String, Vec<f64>)>> {
 fn parse_entry(text: &str) -> Option<CachedModels> {
     let sections = parse_sections(text)?;
     let find = |name: &str| sections.iter().find(|(n, _)| n == name).map(|(_, w)| w.as_slice());
+    let rumba_model = decode_model(find("rumba_model")?).ok()?;
+    // The tree checker reads the accelerator's input rows.
+    let tree = decode_tree(find("tree")?, rumba_model.mlp().input_dim()).ok()?;
     Some(CachedModels {
-        rumba_model: decode_model(find("rumba_model")?).ok()?,
         baseline_model: decode_model(find("baseline_model")?).ok()?,
         linear: decode_linear(find("linear")?).ok()?,
-        tree: decode_tree(find("tree")?).ok()?,
+        tree,
         evp: decode_evp(find("evp")?).ok()?,
-        train_errors: find("train_errors")?.to_vec(),
+        train_errors: find("train_errors")?.iter().map(|&w| f64::from_bits(w)).collect(),
+        rumba_model,
     })
 }
+
+/// The `zoo_spec` word for a tier without a limited-precision datapath.
+const NO_PRECISION: f64 = -1.0;
 
 /// The zoo entry reuses the v1 envelope with a `zoo_spec` section — the
 /// stored tier count followed by `[precision_bits (-1 for none),
 /// fixed_point flag, train_error]` per tier — plus per-tier `zoo_model_i`
-/// (accelerator config-words) and `zoo_router_i`
-/// (`[n_weights, weights..., bias]`) sections. Per-tier datapath settings
+/// (accelerator config-words) and `zoo_router_i` (a [`LinearModel`]'s
+/// `[n_weights, weights..., bias]`) sections. Per-tier datapath settings
 /// live in the spec; everything else in `NpuParams` comes from the
 /// caller's [`OfflineConfig`], matching how the tier was built.
 fn write_zoo_entry(path: &Path, kernel_name: &str, zoo: &ModelZoo) -> std::io::Result<()> {
-    let mut text = String::new();
-    let _ = writeln!(text, "{FORMAT_HEADER}");
-    let _ = writeln!(text, "kernel {kernel_name}");
-    let mut spec: Vec<f64> = vec![zoo.len() as f64];
+    let mut text = entry_head(kernel_name);
+    let mut spec = vec![(zoo.len() as f64).to_bits()];
     for tier in zoo.tiers() {
         let params = tier.npu.params();
-        spec.push(params.precision_bits.map_or(-1.0, f64::from));
-        spec.push(f64::from(u8::from(params.fixed_point)));
-        spec.push(tier.train_error);
+        let precision = params.precision_bits.map_or(NO_PRECISION, f64::from);
+        push_f64s(
+            &mut spec,
+            &[precision, f64::from(u8::from(params.fixed_point)), tier.train_error],
+        );
     }
     push_section(&mut text, "zoo_spec", &spec);
     for (i, tier) in zoo.tiers().iter().enumerate() {
         push_section(&mut text, &format!("zoo_model_{i}"), &encode_model(tier.npu.model()));
-        let mut router: Vec<f64> = vec![tier.router.weights().len() as f64];
-        router.extend_from_slice(tier.router.weights());
-        router.push(tier.router.bias());
+        let mut router = Vec::new();
+        tier.router.write_words(&mut router);
         push_section(&mut text, &format!("zoo_router_{i}"), &router);
     }
-
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    static WRITE_SERIAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let serial = WRITE_SERIAL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let tmp = path.with_extension(format!("tmp.{}.{serial}", std::process::id()));
-    fs::write(&tmp, &text)?;
-    fs::rename(&tmp, path)
+    write_atomically(path, &text)
 }
 
 fn parse_zoo_entry(text: &str, base_params: &NpuParams) -> Option<ModelZoo> {
     let sections = parse_sections(text)?;
     let find = |name: &str| sections.iter().find(|(n, _)| n == name).map(|(_, w)| w.as_slice());
-    let spec = find("zoo_spec")?;
-    let n = to_count(*spec.first()?)?;
-    if spec.len() != 1 + 3 * n || n == 0 {
-        return None;
-    }
-    let mut tiers = Vec::with_capacity(n);
-    for i in 0..n {
-        let (precision, fixed, train_error) = (spec[1 + 3 * i], spec[2 + 3 * i], spec[3 + 3 * i]);
-        let params = NpuParams {
-            precision_bits: if precision < 0.0 {
-                None
-            } else {
-                Some(u32::try_from(to_count(precision)?).ok()?)
-            },
-            fixed_point: fixed != 0.0,
-            ..*base_params
-        };
-        let model = decode_model(find(&format!("zoo_model_{i}"))?).ok()?;
-        let router_words = find(&format!("zoo_router_{i}"))?;
-        let n_weights = to_count(*router_words.first()?)?;
-        if router_words.len() != n_weights + 2 {
-            return None;
-        }
-        let router = LinearModel::from_parts(
-            router_words[1..=n_weights].to_vec(),
-            router_words[n_weights + 1],
-        );
-        tiers.push(ZooTier { npu: Npu::new(model, params), router, train_error });
-    }
+    let specs = read_all(find("zoo_spec")?, "zoo_spec", |r| {
+        // Every tier takes three spec words.
+        let n = r.f64_count("zoo_spec.tiers", r.remaining() / 3)?;
+        (0..n).map(|_| read_tier_spec(r)).collect::<Result<Vec<_>, String>>()
+    })
+    .ok()?;
+    let tiers = specs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (precision_bits, fixed_point, train_error))| {
+            let model = decode_model(find(&format!("zoo_model_{i}"))?).ok()?;
+            let router = find(&format!("zoo_router_{i}"))?;
+            let router = read_all(router, "zoo_router", LinearModel::read_words).ok()?;
+            let params = NpuParams { precision_bits, fixed_point, ..*base_params };
+            Some(ZooTier { npu: Npu::new(model, params), router, train_error })
+        })
+        .collect::<Option<Vec<_>>>()?;
     ModelZoo::from_tiers(tiers).ok()
 }
 
-/// A stored count word back as a `usize`, rejecting non-integral or
-/// out-of-range values (a corrupt file must read as a miss, not a panic).
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn to_count(word: f64) -> Option<usize> {
-    if word.fract() != 0.0 || !(0.0..=1e9).contains(&word) {
-        return None;
-    }
-    Some(word as usize)
+/// One tier's `[precision_bits (-1 for none), fixed_point, train_error]`.
+fn read_tier_spec(r: &mut WordReader) -> Result<(Option<u32>, bool, f64), String> {
+    let word = r.u64("zoo_spec.precision")?;
+    let precision = if word == NO_PRECISION.to_bits() {
+        None
+    } else {
+        let bits = whole(word, u32::MAX as usize).and_then(|n| u32::try_from(n).ok());
+        Some(bits.ok_or("zoo_spec.precision: neither -1 nor a bit count")?)
+    };
+    Ok((precision, r.f64_count("zoo_spec.fixed_point", 1)? == 1, r.f64("zoo_spec.train_error")?))
 }
 
 #[cfg(test)]
@@ -528,17 +543,14 @@ mod tests {
         // Bit-exact: the persisted config-words decode to models whose
         // encodings (and error lists) match the fresh ones word for word.
         let bits = |words: &[f64]| words.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_eq!(encode_model(&loaded.rumba_model), encode_model(trained.rumba_npu.model()));
         assert_eq!(
-            bits(&encode_model(&loaded.rumba_model)),
-            bits(&encode_model(trained.rumba_npu.model())),
+            encode_model(&loaded.baseline_model),
+            encode_model(trained.baseline_npu.model())
         );
-        assert_eq!(
-            bits(&encode_model(&loaded.baseline_model)),
-            bits(&encode_model(trained.baseline_npu.model())),
-        );
-        assert_eq!(bits(&encode_linear(&loaded.linear)), bits(&encode_linear(&trained.linear)));
-        assert_eq!(bits(&encode_tree(&loaded.tree)), bits(&encode_tree(&trained.tree)));
-        assert_eq!(bits(&encode_evp(&loaded.evp)), bits(&encode_evp(&trained.evp)));
+        assert_eq!(encode_linear(&loaded.linear), encode_linear(&trained.linear));
+        assert_eq!(encode_tree(&loaded.tree), encode_tree(&trained.tree));
+        assert_eq!(encode_evp(&loaded.evp), encode_evp(&trained.evp));
         assert_eq!(bits(&loaded.train_errors), bits(&trained.train_errors));
 
         // A different seed must miss.

@@ -49,7 +49,6 @@ pub mod runtime;
 pub mod scheme;
 pub mod trainer;
 pub mod tuner;
-pub mod words;
 pub mod zoo;
 
 mod error;

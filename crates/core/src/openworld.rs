@@ -26,7 +26,7 @@
 use rumba_faults::{decision, splitmix64, FaultModel, FaultPlan};
 use rumba_nn::NnDataset;
 
-use crate::words::WordReader;
+use rumba_obs::words::{push_f64s, WordReader};
 
 /// How a scenario's input distribution moves over the stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -335,40 +335,45 @@ impl Reservoir {
         self.offered = 0;
     }
 
-    /// Appends the reservoir as self-describing `u64` config-words:
-    /// `[offered, row_count, then per row: poisoned, input_len, input
-    /// bits…, exact_len, exact bits…, approx_len, approx bits…]`.
+    /// Appends the reservoir as `u64` words: `[offered, row_count, then
+    /// per row: poisoned, input bits…, exact bits…, approx bits…]`. Rows
+    /// are fixed-width (the kernel's input and output widths), so no
+    /// lengths are written.
     pub fn to_words(&self, out: &mut Vec<u64>) {
         out.push(self.offered);
         out.push(self.rows.len() as u64);
         for row in &self.rows {
             out.push(u64::from(row.poisoned));
             for vec in [&row.input, &row.exact, &row.approx] {
-                out.push(vec.len() as u64);
-                out.extend(vec.iter().map(|v| v.to_bits()));
+                push_f64s(out, vec);
             }
         }
     }
 
     /// Reads a block written by [`Reservoir::to_words`] into a reservoir
-    /// of the given capacity (capacity is construction config, not part of
-    /// the words).
+    /// of the given capacity whose rows are `input_dim` inputs and
+    /// `output_dim` outputs wide (construction config, not part of the
+    /// words).
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed word.
-    pub fn read(capacity: usize, r: &mut WordReader) -> std::result::Result<Self, String> {
+    pub fn read(
+        capacity: usize,
+        input_dim: usize,
+        output_dim: usize,
+        r: &mut WordReader,
+    ) -> std::result::Result<Self, String> {
         let offered = r.u64("reservoir.offered")?;
         let count = r.count("reservoir.rows", capacity)?;
         let mut rows = Vec::with_capacity(count);
         for _ in 0..count {
-            let poisoned = r.flag("reservoir.poisoned")?;
-            let mut vecs = [Vec::new(), Vec::new(), Vec::new()];
-            for vec in &mut vecs {
-                vec.extend(r.block("reservoir.vector")?.iter().map(|&w| f64::from_bits(w)));
-            }
-            let [input, exact, approx] = vecs;
-            rows.push(ReservoirRow { input, exact, approx, poisoned });
+            rows.push(ReservoirRow {
+                poisoned: r.flag("reservoir.poisoned")?,
+                input: r.f64s("reservoir.input", input_dim)?,
+                exact: r.f64s("reservoir.exact", output_dim)?,
+                approx: r.f64s("reservoir.approx", output_dim)?,
+            });
         }
         Ok(Self { capacity, offered, rows })
     }
@@ -378,6 +383,7 @@ impl Reservoir {
 mod tests {
     use super::*;
     use rumba_nn::NnDataset;
+    use rumba_obs::words::read_all;
 
     fn pool(n: usize, dim: usize) -> NnDataset {
         NnDataset::from_fn(dim, 1, n, |i, x, y| {
@@ -519,16 +525,22 @@ mod tests {
         let mut words = Vec::new();
         r.to_words(&mut words);
         let mut reader = WordReader::new(&words);
-        let back = Reservoir::read(6, &mut reader).unwrap();
+        let back = Reservoir::read(6, 2, 1, &mut reader).unwrap();
         reader.finish("end").expect("whole block consumed");
         assert_eq!(back, r);
         let mut rewords = Vec::new();
         back.to_words(&mut rewords);
         assert_eq!(rewords, words);
 
-        // Truncated and corrupt blocks are rejected.
-        let read = |capacity, words: &[u64]| Reservoir::read(capacity, &mut WordReader::new(words));
+        // Rows are fixed-width: a flag and the three vectors, no lengths.
+        assert_eq!(words.len(), 2 + 6 * (1 + 2 + 1 + 1));
+        // Truncated and corrupt blocks are rejected, and so is a block
+        // read at another row width.
+        let read = |capacity, words: &[u64]| {
+            read_all(words, "reservoir", |r| Reservoir::read(capacity, 2, 1, r))
+        };
         assert!(read(6, &words[..words.len() - 1]).is_err());
+        assert!(read_all(&words, "reservoir", |r| Reservoir::read(6, 3, 1, r)).is_err());
         let mut corrupt = words.clone();
         corrupt[2] = 9; // poison flag of row 0
         assert!(read(6, &corrupt).unwrap_err().contains("reservoir.poisoned"));

@@ -14,11 +14,11 @@ use rumba_apps::Kernel;
 use rumba_energy::SchemeActivity;
 use rumba_faults::{FaultKind, FaultPlan, FaultStats};
 use rumba_nn::{Matrix, MatrixView, NnDataset, NnError, Scratch};
+use rumba_obs::words::{push_block, WordReader};
 
 use crate::openworld::{Reservoir, ReservoirRow};
 use crate::pipeline::{simulate, PipelineRun};
 use crate::tuner::{calibrate_threshold, Tuner, WindowStats};
-use crate::words::{push_block, WordReader};
 use crate::zoo::ModelZoo;
 use crate::{Result, RumbaError};
 
@@ -728,10 +728,11 @@ impl RumbaSystem {
             let model = r.block("runtime.refit.model")?;
             if !model.is_empty() {
                 self.checker
-                    .import_model(model)
+                    .import_model(model, self.npu.input_dim())
                     .map_err(|e| format!("runtime.refit.model: {e}"))?;
             }
-            rs.reservoir = Reservoir::read(rs.cfg.capacity, &mut r)?;
+            let (input_dim, output_dim) = (self.npu.input_dim(), self.npu.output_dim());
+            rs.reservoir = Reservoir::read(rs.cfg.capacity, input_dim, output_dim, &mut r)?;
         }
         self.checker.import_state(checker).map_err(|e| format!("runtime.checker: {e}"))?;
         r.finish("runtime")

@@ -21,6 +21,9 @@
 //! - **Report** ([`Report`]): folds a JSONL stream back into the
 //!   per-window quality trace, threshold trajectory, fire rate, and
 //!   cache/pool stats (`rumba report`).
+//! - **Words** ([`words::WordReader`]): the one bounds-checked reader for
+//!   the `u64` word streams that trained models and session snapshots
+//!   are stored in.
 //!
 //! # The global sink
 //!
@@ -48,6 +51,7 @@ pub mod metrics;
 pub mod report;
 pub mod sink;
 pub mod span;
+pub mod words;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};

@@ -6,6 +6,8 @@
 //! offline training, but it can only run after the accelerator produces its
 //! output (§3.5).
 
+use rumba_obs::words::read_all;
+
 use crate::{CheckerCost, ErrorEstimator, PredictError, Result};
 
 /// The `EMA` checker.
@@ -180,42 +182,25 @@ impl ErrorEstimator for EmaDetector {
         // its own word. The skip counter rides along at the end.
         let mut words = Vec::with_capacity(2 * self.state.len() + 1);
         for slot in &self.state {
-            match slot {
-                Some(ema) => {
-                    words.push(1);
-                    words.push(ema.to_bits());
-                }
-                None => {
-                    words.push(0);
-                    words.push(0);
-                }
-            }
+            words.extend([u64::from(slot.is_some()), slot.map_or(0, f64::to_bits)]);
         }
         words.push(self.skipped_non_finite);
         words
     }
 
     fn import_state(&mut self, words: &[u64]) -> std::result::Result<(), String> {
-        let expect = 2 * self.state.len() + 1;
-        if words.len() != expect {
-            return Err(format!(
-                "EMA state wants {expect} words for {} slots, got {}",
-                self.state.len(),
-                words.len()
-            ));
-        }
-        for (i, slot) in self.state.iter_mut().enumerate() {
-            *slot = match (words[2 * i], words[2 * i + 1]) {
-                (0, 0) => None,
-                (1, bits) => Some(f64::from_bits(bits)),
-                (flag, bits) => {
-                    return Err(format!(
-                        "EMA slot {i} must be (0, 0) or (1, bits), got ({flag}, {bits})"
-                    ))
-                }
-            };
-        }
-        self.skipped_non_finite = words[expect - 1];
+        let (state, skipped) = read_all(words, "ema", |r| {
+            let state = (0..self.state.len())
+                .map(|_| match (r.flag("ema.seeded")?, r.u64("ema.average")?) {
+                    (true, bits) => Ok(Some(f64::from_bits(bits))),
+                    (false, 0) => Ok(None),
+                    (false, bits) => Err(format!("ema.average: unseeded slot holds {bits:#x}")),
+                })
+                .collect::<std::result::Result<Vec<_>, String>>()?;
+            Ok((state, r.u64("ema.skipped")?))
+        })?;
+        self.state = state;
+        self.skipped_non_finite = skipped;
         Ok(())
     }
 

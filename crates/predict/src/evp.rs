@@ -7,7 +7,12 @@
 //! true errors than EEP's on the Gaussian example; the `evp_eep` harness
 //! binary reproduces that comparison.
 
-use crate::{CheckerCost, ErrorEstimator, LinearModel, PredictError, Result};
+use rumba_obs::words::read_all;
+
+use crate::{read_magic, CheckerCost, ErrorEstimator, LinearModel, PredictError, Result};
+
+/// Magic word marking an EVP-checker config stream.
+pub const EVP_MAGIC: f64 = 0x45_56_50 as f64; // "EVP"
 
 /// An input-based estimator that predicts each output element with a linear
 /// model and scores an invocation by the mean relative distance between the
@@ -66,6 +71,38 @@ impl EvpErrors {
     pub fn eps(&self) -> f64 {
         self.eps
     }
+}
+
+/// Serializes an EVP checker as its config stream, `[EVP_MAGIC, n_models,
+/// eps, models...]`: one value model per output element (each in the
+/// [`LinearModel::write_words`] layout) plus the relative-error
+/// denominator guard.
+#[must_use]
+pub fn encode_evp(checker: &EvpErrors) -> Vec<u64> {
+    let mut words = vec![EVP_MAGIC.to_bits(), (checker.models.len() as f64).to_bits()];
+    words.push(checker.eps.to_bits());
+    for model in &checker.models {
+        model.write_words(&mut words);
+    }
+    words
+}
+
+/// Reconstructs an EVP checker from [`encode_evp`] output.
+///
+/// # Errors
+///
+/// Names the first malformed field or reports trailing words.
+pub fn decode_evp(words: &[u64]) -> std::result::Result<EvpErrors, String> {
+    read_all(words, "evp", |r| {
+        read_magic(r, "evp.magic", EVP_MAGIC)?;
+        // Every value model takes at least two words.
+        let n_models = r.f64_count("evp.models", r.remaining() / 2)?;
+        let eps = r.f64("evp.eps")?;
+        let models = (0..n_models)
+            .map(|_| LinearModel::read_words(r))
+            .collect::<std::result::Result<_, _>>()?;
+        Ok(EvpErrors { models, eps })
+    })
 }
 
 impl ErrorEstimator for EvpErrors {
@@ -180,5 +217,64 @@ mod tests {
         assert!(evp.cost().macs > 3);
         assert!(evp.is_input_based());
         assert_eq!(evp.name(), "EVP");
+    }
+
+    fn trained_evp() -> EvpErrors {
+        let rows: Vec<Vec<f64>> =
+            (0..120).map(|i| vec![i as f64 / 120.0, (i % 5) as f64 / 5.0]).collect();
+        let outs: Vec<Vec<f64>> =
+            rows.iter().map(|r| vec![2.0 * r[0] + r[1], 1.0 - r[0], r[1] * 0.5]).collect();
+        let r: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let o: Vec<&[f64]> = outs.iter().map(Vec::as_slice).collect();
+        EvpErrors::train(&r, &o, 1e-9).unwrap()
+    }
+
+    #[test]
+    fn config_stream_round_trip_is_exact() {
+        let evp = trained_evp();
+        let words = encode_evp(&evp);
+        let mut restored = decode_evp(&words).unwrap();
+        assert_eq!(encode_evp(&restored), words);
+        let mut original = evp;
+        for i in 0..30 {
+            let x = [i as f64 / 30.0, (i % 4) as f64 / 4.0];
+            let a = [x[0] * 1.9, 1.0 - x[0] * 1.1, x[1] * 0.4];
+            assert_eq!(
+                original.estimate(&x, &a).to_bits(),
+                restored.estimate(&x, &a).to_bits(),
+                "row {i}"
+            );
+        }
+        for cut in [words.len() - 1, 2, 3] {
+            assert!(decode_evp(&words[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut trailing = words;
+        trailing.push(0.25f64.to_bits());
+        assert!(decode_evp(&trailing).unwrap_err().contains("trailing"));
+    }
+
+    #[test]
+    fn huge_model_count_is_rejected_without_allocating() {
+        let mut words = encode_evp(&trained_evp());
+        words[1] = 999_999_999f64.to_bits();
+        assert!(decode_evp(&words).unwrap_err().starts_with("evp.models"));
+    }
+
+    #[test]
+    fn each_decoder_rejects_the_other_checkers_streams() {
+        use crate::{decode_linear, decode_tree, encode_linear, encode_tree};
+        use crate::{LinearErrors, TreeErrors, TreeParams};
+        let rows: Vec<Vec<f64>> = (0..64).map(|i| vec![i as f64 / 64.0]).collect();
+        let errors: Vec<f64> = rows.iter().map(|r| if r[0] > 0.5 { 0.4 } else { 0.0 }).collect();
+        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let linear = encode_linear(&LinearErrors::train(&refs, &errors, 1e-6).unwrap());
+        let tree = encode_tree(&TreeErrors::train(&refs, &errors, &TreeParams::default()).unwrap());
+        let evp = encode_evp(&trained_evp());
+        assert!(decode_linear(&tree).unwrap_err().starts_with("linear.magic"));
+        assert!(decode_linear(&evp).unwrap_err().starts_with("linear.magic"));
+        assert!(decode_tree(&linear, 2).unwrap_err().starts_with("tree.magic"));
+        assert!(decode_tree(&evp, 2).unwrap_err().starts_with("tree.magic"));
+        assert!(decode_evp(&linear).unwrap_err().starts_with("evp.magic"));
+        assert!(decode_evp(&tree).unwrap_err().starts_with("evp.magic"));
     }
 }

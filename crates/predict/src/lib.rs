@@ -32,7 +32,6 @@
 //! assert!(tree.estimate(&[0.5], &[]) < 0.2);
 //! ```
 
-mod config_words;
 mod cost;
 mod ema;
 mod ensemble;
@@ -45,17 +44,17 @@ mod tree;
 use std::error::Error;
 use std::fmt;
 
-pub use config_words::{
-    decode_evp, decode_linear, decode_tree, encode_evp, encode_linear, encode_tree, EVP_MAGIC,
-    LINEAR_MAGIC, TREE_MAGIC,
-};
+use rumba_obs::words::WordReader;
+
 pub use cost::CheckerCost;
 pub use ema::EmaDetector;
 pub use ensemble::MaxEnsemble;
-pub use evp::EvpErrors;
-pub use linear::{LinearErrors, LinearModel};
+pub use evp::{decode_evp, encode_evp, EvpErrors, EVP_MAGIC};
+pub use linear::{decode_linear, encode_linear, LinearErrors, LinearModel, LINEAR_MAGIC};
 pub use table::{TableErrors, TableParams};
-pub use tree::{DecisionTree, TreeErrors, TreeNodeWord, TreeParams};
+pub use tree::{
+    decode_tree, encode_tree, DecisionTree, TreeErrors, TreeParams, MAX_DECODE_DEPTH, TREE_MAGIC,
+};
 
 /// Errors produced while training predictors.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,8 +226,9 @@ pub trait ErrorEstimator: fmt::Debug + Send {
         Err(format!("{} does not support online refit", self.name()))
     }
 
-    /// Serializes the estimator's *trained* model (coefficients or tree
-    /// nodes, plus the signed companion) as `u64` config-words, so a
+    /// Serializes the estimator's *trained* model as `u64` config-words —
+    /// its config stream (the layout the trained-model cache stores), then
+    /// a `0|1` flag and the signed companion model when present — so a
     /// session snapshot can migrate a checker that was re-fitted online —
     /// [`ErrorEstimator::export_state`] deliberately covers only online
     /// state and assumes the trained model is reproducible from the
@@ -241,15 +241,21 @@ pub trait ErrorEstimator: fmt::Debug + Send {
     }
 
     /// Restores a trained model previously produced by
-    /// [`ErrorEstimator::export_model_words`], bit for bit.
+    /// [`ErrorEstimator::export_model_words`], bit for bit. `input_dim` is
+    /// the width of the input rows the model will be evaluated on; a model
+    /// that reads beyond it is rejected.
     ///
     /// # Errors
     ///
     /// Returns a description of the mismatch when `words` does not decode
     /// for this estimator kind, or when the estimator does not support
     /// trained-model transport at all.
-    fn import_model_words(&mut self, words: &[u64]) -> std::result::Result<(), String> {
-        let _ = words;
+    fn import_model_words(
+        &mut self,
+        words: &[u64],
+        input_dim: usize,
+    ) -> std::result::Result<(), String> {
+        let _ = (words, input_dim);
         Err(format!("{} does not support trained-model import", self.name()))
     }
 
@@ -270,6 +276,14 @@ pub trait ErrorEstimator: fmt::Debug + Send {
     /// outputs (false) — §3.5's placement constraint: only input-based
     /// detectors can run before/parallel to the accelerator.
     fn is_input_based(&self) -> bool;
+}
+
+/// Reads a config stream's magic word.
+fn read_magic(r: &mut WordReader, label: &str, magic: f64) -> std::result::Result<(), String> {
+    match r.u64(label)? {
+        word if word == magic.to_bits() => Ok(()),
+        word => Err(format!("{label}: {} is not this checker's magic word", f64::from_bits(word))),
+    }
 }
 
 /// Ridge damping used by [`ErrorEstimator::refit`] implementations.

@@ -5,8 +5,13 @@
 //! training errors. One online prediction costs `N` multiply-adds plus one
 //! threshold comparison.
 
+use rumba_obs::words::{push_f64s, read_all, WordReader};
+
 use crate::linalg::ridge_fit;
-use crate::{CheckerCost, ErrorEstimator, Result, REFIT_RIDGE};
+use crate::{read_magic, CheckerCost, ErrorEstimator, Result, REFIT_RIDGE};
+
+/// Magic word marking a linear-checker config stream.
+pub const LINEAR_MAGIC: f64 = 0x4C_49_4E as f64; // "LIN"
 
 /// A plain affine function `w · x + c`, reusable for value prediction (EVP)
 /// as well as error prediction (EEP).
@@ -69,6 +74,31 @@ impl LinearModel {
     pub fn bias(&self) -> f64 {
         self.bias
     }
+
+    /// Appends the model as config words `[n_weights, weights..., bias]`
+    /// (the layout of a linear checker after its magic word, of each EVP
+    /// value model and of each zoo router).
+    pub fn write_words(&self, out: &mut Vec<u64>) {
+        out.push((self.weights.len() as f64).to_bits());
+        push_f64s(out, &self.weights);
+        out.push(self.bias.to_bits());
+    }
+
+    /// Reads one model written by [`LinearModel::write_words`].
+    ///
+    /// # Errors
+    ///
+    /// Names the first malformed field; non-finite coefficients are
+    /// rejected.
+    pub fn read_words(r: &mut WordReader) -> std::result::Result<Self, String> {
+        let width = r.f64_count("linear.width", r.remaining().saturating_sub(1))?;
+        let weights = r.f64s("linear.weights", width)?;
+        let bias = r.f64("linear.bias")?;
+        if weights.iter().chain([&bias]).any(|v| !v.is_finite()) {
+            return Err("linear.weights: non-finite coefficients".to_owned());
+        }
+        Ok(Self { weights, bias })
+    }
 }
 
 /// The `linearErrors` checker: an input-based EEP estimator backed by one
@@ -121,32 +151,40 @@ impl LinearErrors {
     }
 }
 
-/// Appends one affine model as `[width, weight bits..., bias bits]`.
-fn push_model_words(out: &mut Vec<u64>, model: &LinearModel) {
-    out.push(model.weights().len() as u64);
-    out.extend(model.weights().iter().map(|w| w.to_bits()));
-    out.push(model.bias().to_bits());
+/// Serializes a linear checker's trained model as its config stream,
+/// `[LINEAR_MAGIC, n_weights, weights..., bias]`.
+///
+/// # Examples
+///
+/// ```
+/// use rumba_predict::{decode_linear, encode_linear, ErrorEstimator, LinearErrors};
+///
+/// let rows = [vec![0.0], vec![1.0]];
+/// let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+/// let le = LinearErrors::train(&refs, &[0.0, 0.5], 1e-9).unwrap();
+/// let mut restored = decode_linear(&encode_linear(&le)).unwrap();
+/// assert!((restored.estimate(&[0.5], &[]) - 0.25).abs() < 1e-6);
+/// ```
+#[must_use]
+pub fn encode_linear(checker: &LinearErrors) -> Vec<u64> {
+    let mut words = vec![LINEAR_MAGIC.to_bits()];
+    checker.model.write_words(&mut words);
+    words
 }
 
-/// Parses one affine model written by [`push_model_words`], advancing
-/// `pos` past it.
-fn parse_model_words(words: &[u64], pos: &mut usize) -> std::result::Result<LinearModel, String> {
-    let width = *words.get(*pos).ok_or("linear model words ended before the width")? as usize;
-    if width >= words.len() {
-        return Err(format!("linear model claims {width} weights, only {} words", words.len()));
-    }
-    let end = *pos + 1 + width + 1;
-    if words.len() < end {
-        return Err(format!("linear model wants {width} weights + bias, words ran out"));
-    }
-    let weights: Vec<f64> =
-        words[*pos + 1..*pos + 1 + width].iter().map(|&w| f64::from_bits(w)).collect();
-    let bias = f64::from_bits(words[end - 1]);
-    if weights.iter().chain([&bias]).any(|v| !v.is_finite()) {
-        return Err("linear model words decode to non-finite coefficients".to_owned());
-    }
-    *pos = end;
-    Ok(LinearModel { weights, bias })
+/// Reconstructs a linear checker from [`encode_linear`] output.
+///
+/// # Errors
+///
+/// Names the first malformed field (magic word, width, coefficients) or
+/// reports trailing words.
+pub fn decode_linear(words: &[u64]) -> std::result::Result<LinearErrors, String> {
+    read_all(words, "linear", read_linear).map(LinearErrors::from_model)
+}
+
+fn read_linear(r: &mut WordReader) -> std::result::Result<LinearModel, String> {
+    read_magic(r, "linear.magic", LINEAR_MAGIC)?;
+    LinearModel::read_words(r)
 }
 
 impl ErrorEstimator for LinearErrors {
@@ -199,35 +237,25 @@ impl ErrorEstimator for LinearErrors {
     }
 
     fn export_model_words(&self) -> Option<Vec<u64>> {
-        let mut out = Vec::new();
-        push_model_words(&mut out, &self.model);
-        match &self.signed {
-            Some(signed) => {
-                out.push(1);
-                push_model_words(&mut out, signed);
-            }
-            None => out.push(0),
+        let mut out = encode_linear(self);
+        out.push(u64::from(self.signed.is_some()));
+        if let Some(signed) = &self.signed {
+            signed.write_words(&mut out);
         }
         Some(out)
     }
 
-    fn import_model_words(&mut self, words: &[u64]) -> std::result::Result<(), String> {
-        let mut pos = 0usize;
-        let model = parse_model_words(words, &mut pos)?;
-        let signed = match words.get(pos).copied() {
-            Some(0) => {
-                pos += 1;
-                None
-            }
-            Some(1) => {
-                pos += 1;
-                Some(parse_model_words(words, &mut pos)?)
-            }
-            other => return Err(format!("linear signed flag must be 0|1, got {other:?}")),
-        };
-        if pos != words.len() {
-            return Err(format!("{} unused linear model words", words.len() - pos));
-        }
+    fn import_model_words(
+        &mut self,
+        words: &[u64],
+        _input_dim: usize,
+    ) -> std::result::Result<(), String> {
+        let (model, signed) = read_all(words, "linear", |r| {
+            let model = read_linear(r)?;
+            let signed =
+                r.flag("linear.signed")?.then(|| LinearModel::read_words(r)).transpose()?;
+            Ok((model, signed))
+        })?;
         self.model = model;
         self.signed = signed;
         Ok(())
@@ -311,15 +339,38 @@ mod tests {
         le.refit(&refs, &ys, &signed).unwrap();
         let words = le.export_model_words().unwrap();
         let mut other = LinearErrors::train(&refs, &signed, 1e-6).unwrap();
-        other.import_model_words(&words).unwrap();
+        other.import_model_words(&words, 2).unwrap();
         assert_eq!(other.export_model_words().unwrap(), words);
         assert_eq!(
             le.model().predict(&[0.3, 0.7]).to_bits(),
             other.model().predict(&[0.3, 0.7]).to_bits()
         );
+        // The snapshot words are the config stream, then the signed pair.
+        let stream = encode_linear(&le);
+        assert_eq!(words[..stream.len()], stream[..]);
+        assert_eq!(words[stream.len()], 1);
         // Truncated and garbage streams are rejected.
-        assert!(other.import_model_words(&words[..words.len() - 1]).is_err());
-        assert!(other.import_model_words(&[u64::MAX]).is_err());
+        assert!(other.import_model_words(&words[..words.len() - 1], 2).is_err());
+        assert!(other.import_model_words(&[u64::MAX], 2).is_err());
+    }
+
+    #[test]
+    fn config_stream_round_trips_and_rejects_malformed_words() {
+        let (rows, ys) = affine_rows(16);
+        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let le = LinearErrors::train(&refs, &ys, 1e-6).unwrap();
+        let words = encode_linear(&le);
+        assert_eq!(decode_linear(&words).unwrap().model(), le.model());
+        assert!(decode_linear(&words[..words.len() - 1]).is_err());
+        let mut trailing = words.clone();
+        trailing.push(0);
+        assert!(decode_linear(&trailing).unwrap_err().contains("trailing"));
+        let mut huge = words.clone();
+        huge[1] = 1e9f64.to_bits();
+        assert!(decode_linear(&huge).unwrap_err().starts_with("linear.width"));
+        let mut nan = words;
+        nan[2] = f64::NAN.to_bits();
+        assert!(decode_linear(&nan).unwrap_err().contains("non-finite"));
     }
 
     #[test]

@@ -7,55 +7,17 @@
 
 use std::sync::Arc;
 
-use crate::{CheckerCost, ErrorEstimator, PredictError, Result};
+use rumba_obs::words::{push_f64s, read_all, WordReader};
 
-/// Appends one tree as `[node_count, then per node: tag, feature, bits]`
-/// in preorder (`tag` 0 = leaf with `bits` = value, 1 = split on
-/// `feature` at threshold `bits`).
-fn push_tree_words(out: &mut Vec<u64>, tree: &DecisionTree) {
-    let nodes = tree.to_node_words();
-    out.push(nodes.len() as u64);
-    for node in nodes {
-        match node {
-            TreeNodeWord::Leaf { value } => {
-                out.push(0);
-                out.push(0);
-                out.push(value.to_bits());
-            }
-            TreeNodeWord::Split { feature, threshold } => {
-                out.push(1);
-                out.push(feature as u64);
-                out.push(threshold.to_bits());
-            }
-        }
-    }
-}
+use crate::{read_magic, CheckerCost, ErrorEstimator, PredictError, Result};
 
-/// Parses one tree written by [`push_tree_words`], advancing `pos`.
-fn parse_tree_words(words: &[u64], pos: &mut usize) -> std::result::Result<DecisionTree, String> {
-    let count = *words.get(*pos).ok_or("tree model words ended before the node count")? as usize;
-    if count >= words.len() {
-        return Err(format!("tree model claims {count} nodes, only {} words", words.len()));
-    }
-    let end = *pos + 1 + 3 * count;
-    if words.len() < end {
-        return Err(format!("tree model wants {count} nodes, words ran out"));
-    }
-    let mut nodes = Vec::with_capacity(count);
-    for i in 0..count {
-        let base = *pos + 1 + 3 * i;
-        let value = f64::from_bits(words[base + 2]);
-        nodes.push(match (words[base], words[base + 1]) {
-            (0, 0) => TreeNodeWord::Leaf { value },
-            (1, feature) => TreeNodeWord::Split { feature: feature as usize, threshold: value },
-            (tag, feature) => {
-                return Err(format!("tree node must be (0, 0, value) or (1, feature, threshold), got ({tag}, {feature}, ..)"))
-            }
-        });
-    }
-    *pos = end;
-    DecisionTree::from_node_words(&nodes).map_err(|e| e.to_string())
-}
+/// Magic word marking a tree-checker config stream.
+pub const TREE_MAGIC: f64 = 0x54_52_45 as f64; // "TRE"
+
+/// Deepest tree the config-stream decoder accepts. It sits far above any
+/// trained depth (the paper caps checkers at 7, the depth ablation trains
+/// up to 9) and bounds the decoder's recursion.
+pub const MAX_DECODE_DEPTH: usize = 64;
 
 /// Training hyper-parameters for [`DecisionTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,30 +134,34 @@ impl DecisionTree {
         self.depth
     }
 
-    /// Flattens the tree into preorder node words (the coefficient-buffer
-    /// image the config queue ships, see [`crate::encode_tree`]).
-    #[must_use]
-    pub fn to_node_words(&self) -> Vec<TreeNodeWord> {
-        let mut out = Vec::with_capacity(self.node_count);
-        flatten(&self.root, &mut out);
-        out
+    /// Appends the tree as config words `[n_nodes, nodes...]` in
+    /// preorder, each node either `[0, value]` (leaf) or `[1, feature,
+    /// threshold]` (decision) — the coefficient-buffer image the config
+    /// queue ships.
+    pub fn write_words(&self, out: &mut Vec<u64>) {
+        out.push((self.node_count as f64).to_bits());
+        write_node(&self.root, out);
     }
 
-    /// Rebuilds a tree from preorder node words.
+    /// Reads one tree written by [`DecisionTree::write_words`] for inputs
+    /// `input_dim` wide.
     ///
     /// # Errors
     ///
-    /// Returns [`PredictError::ShapeMismatch`] if the stream does not
-    /// describe exactly one complete tree.
-    pub fn from_node_words(words: &[TreeNodeWord]) -> Result<Self> {
-        let mut pos = 0usize;
-        let root = unflatten(words, &mut pos)?;
-        if pos != words.len() {
-            return Err(PredictError::ShapeMismatch {
-                detail: format!("{} unused node words", words.len() - pos),
-            });
-        }
+    /// Names the first malformed field: a node tag other than 0|1, a
+    /// split on a feature at or beyond `input_dim`, splits nested deeper
+    /// than [`MAX_DECODE_DEPTH`], a truncated stream, or a node count that
+    /// disagrees with the nodes read.
+    pub fn read_words(r: &mut WordReader, input_dim: usize) -> std::result::Result<Self, String> {
+        // Every node takes at least two words.
+        let declared = r.f64_count("tree.nodes", r.remaining() / 2)?;
+        let root = read_node(r, input_dim, 0)?;
         let (depth, node_count) = measure(&root);
+        if node_count != declared {
+            return Err(format!(
+                "tree.nodes: declares {declared} nodes, the stream has {node_count}"
+            ));
+        }
         Ok(Self { root, depth, node_count })
     }
 
@@ -284,47 +250,36 @@ fn build(
     }
 }
 
-/// One node of a flattened tree, as shipped through the config queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TreeNodeWord {
-    /// A leaf carrying the predicted error.
-    Leaf {
-        /// Predicted error stored at the leaf.
-        value: f64,
-    },
-    /// A decision node comparing one input against a trained constant.
-    Split {
-        /// Input index the node tests.
-        feature: usize,
-        /// Trained comparison constant.
-        threshold: f64,
-    },
-}
-
-fn flatten(node: &Node, out: &mut Vec<TreeNodeWord>) {
+fn write_node(node: &Node, out: &mut Vec<u64>) {
     match node {
-        Node::Leaf { value } => out.push(TreeNodeWord::Leaf { value: *value }),
+        Node::Leaf { value } => push_f64s(out, &[0.0, *value]),
         Node::Split { feature, threshold, left, right } => {
-            out.push(TreeNodeWord::Split { feature: *feature, threshold: *threshold });
-            flatten(left, out);
-            flatten(right, out);
+            push_f64s(out, &[1.0, *feature as f64, *threshold]);
+            write_node(left, out);
+            write_node(right, out);
         }
     }
 }
 
-fn unflatten(words: &[TreeNodeWord], pos: &mut usize) -> Result<Node> {
-    let word = words.get(*pos).ok_or_else(|| PredictError::ShapeMismatch {
-        detail: "node stream ended mid-tree".to_owned(),
-    })?;
-    *pos += 1;
-    match *word {
-        TreeNodeWord::Leaf { value } => Ok(Node::Leaf { value }),
-        TreeNodeWord::Split { feature, threshold } => {
-            let left = Box::new(unflatten(words, pos)?);
-            let right = Box::new(unflatten(words, pos)?);
-            Ok(Node::Split { feature, threshold, left, right })
-        }
+fn read_node(
+    r: &mut WordReader,
+    input_dim: usize,
+    depth: usize,
+) -> std::result::Result<Node, String> {
+    if r.f64_count("tree.tag", 1)? == 0 {
+        return Ok(Node::Leaf { value: r.f64("tree.leaf")? });
     }
+    if depth == MAX_DECODE_DEPTH {
+        return Err(format!("tree.depth: splits nest deeper than {MAX_DECODE_DEPTH}"));
+    }
+    let feature = r.f64_count("tree.feature", usize::MAX)?;
+    if feature >= input_dim {
+        return Err(format!("tree.feature: {feature} is outside the {input_dim}-wide input"));
+    }
+    let threshold = r.f64("tree.threshold")?;
+    let left = Box::new(read_node(r, input_dim, depth + 1)?);
+    let right = Box::new(read_node(r, input_dim, depth + 1)?);
+    Ok(Node::Split { feature, threshold, left, right })
 }
 
 fn measure(node: &Node) -> (usize, usize) {
@@ -336,6 +291,31 @@ fn measure(node: &Node) -> (usize, usize) {
             (dl.max(dr) + 1, nl + nr + 1)
         }
     }
+}
+
+/// Serializes a tree checker's trained tree as its config stream,
+/// `[TREE_MAGIC, n_nodes, nodes...]` (see [`DecisionTree::write_words`]).
+#[must_use]
+pub fn encode_tree(checker: &TreeErrors) -> Vec<u64> {
+    let mut words = vec![TREE_MAGIC.to_bits()];
+    checker.tree.write_words(&mut words);
+    words
+}
+
+/// Reconstructs a tree checker from [`encode_tree`] output, for inputs
+/// `input_dim` wide.
+///
+/// # Errors
+///
+/// Names the first malformed field (see [`DecisionTree::read_words`]) or
+/// reports trailing words.
+pub fn decode_tree(words: &[u64], input_dim: usize) -> std::result::Result<TreeErrors, String> {
+    read_all(words, "tree", |r| read_tree(r, input_dim)).map(TreeErrors::from_tree)
+}
+
+fn read_tree(r: &mut WordReader, input_dim: usize) -> std::result::Result<DecisionTree, String> {
+    read_magic(r, "tree.magic", TREE_MAGIC)?;
+    DecisionTree::read_words(r, input_dim)
 }
 
 /// The `treeErrors` checker: an input-based EEP estimator backed by a
@@ -439,37 +419,29 @@ impl ErrorEstimator for TreeErrors {
     }
 
     fn export_model_words(&self) -> Option<Vec<u64>> {
-        let mut out = Vec::new();
-        push_tree_words(&mut out, &self.tree);
-        match &self.signed {
-            Some(signed) => {
-                out.push(1);
-                push_tree_words(&mut out, signed);
-            }
-            None => out.push(0),
+        let mut out = encode_tree(self);
+        out.push(u64::from(self.signed.is_some()));
+        if let Some(signed) = &self.signed {
+            signed.write_words(&mut out);
         }
         Some(out)
     }
 
-    fn import_model_words(&mut self, words: &[u64]) -> std::result::Result<(), String> {
-        let mut pos = 0usize;
-        let tree = parse_tree_words(words, &mut pos)?;
-        let signed = match words.get(pos).copied() {
-            Some(0) => {
-                pos += 1;
-                None
-            }
-            Some(1) => {
-                pos += 1;
-                Some(Arc::new(parse_tree_words(words, &mut pos)?))
-            }
-            other => return Err(format!("tree signed flag must be 0|1, got {other:?}")),
-        };
-        if pos != words.len() {
-            return Err(format!("{} unused tree model words", words.len() - pos));
-        }
+    fn import_model_words(
+        &mut self,
+        words: &[u64],
+        input_dim: usize,
+    ) -> std::result::Result<(), String> {
+        let (tree, signed) = read_all(words, "tree", |r| {
+            let tree = read_tree(r, input_dim)?;
+            let signed = r
+                .flag("tree.signed")?
+                .then(|| DecisionTree::read_words(r, input_dim))
+                .transpose()?;
+            Ok((tree, signed))
+        })?;
         self.tree = Arc::new(tree);
-        self.signed = signed;
+        self.signed = signed.map(Arc::new);
         Ok(())
     }
 
@@ -567,20 +539,115 @@ mod tests {
 
         let words = te.export_model_words().unwrap();
         let mut other = TreeErrors::train(&refs, &ys, &TreeParams::default()).unwrap();
-        other.import_model_words(&words).unwrap();
+        other.import_model_words(&words, 2).unwrap();
         assert_eq!(other.export_model_words().unwrap(), words);
         assert_eq!(
             other.tree().predict(&[0.3, 0.9]).to_bits(),
             te.tree().predict(&[0.3, 0.9]).to_bits()
         );
-        assert!(other.import_model_words(&words[..words.len() - 2]).is_err());
-        assert!(other.import_model_words(&[7]).is_err());
-        // A leaf's feature word is always written as 0; any other value
-        // would not re-export, so it is rejected.
-        let leaf = words.iter().skip(1).step_by(3).position(|&tag| tag == 0).unwrap();
-        let mut stray = words.clone();
-        stray[1 + 3 * leaf + 1] = 5;
-        assert!(other.import_model_words(&stray).is_err());
+        // The snapshot words are the config stream, then the signed pair.
+        let stream = encode_tree(&te);
+        assert_eq!(words[..stream.len()], stream[..]);
+        assert_eq!(words[stream.len()], 1);
+        assert!(other.import_model_words(&words[..words.len() - 2], 2).is_err());
+        assert!(other.import_model_words(&[7], 2).is_err());
+    }
+
+    fn f(v: f64) -> u64 {
+        v.to_bits()
+    }
+
+    fn trained() -> TreeErrors {
+        let rows: Vec<Vec<f64>> =
+            (0..200).map(|i| vec![i as f64 / 200.0, (i % 13) as f64 / 13.0]).collect();
+        let errors: Vec<f64> =
+            rows.iter().map(|r| if r[0] > 0.6 { 0.4 + r[1] * 0.1 } else { 0.02 }).collect();
+        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        TreeErrors::train(&refs, &errors, &TreeParams::default()).unwrap()
+    }
+
+    #[test]
+    fn config_stream_round_trip_is_exact() {
+        let tree = trained();
+        let words = encode_tree(&tree);
+        let mut restored = decode_tree(&words, 2).unwrap();
+        assert_eq!(encode_tree(&restored), words);
+        let mut original = tree;
+        for i in 0..50 {
+            let x = [i as f64 / 50.0, (i % 7) as f64 / 7.0];
+            assert_eq!(original.estimate(&x, &[]), restored.estimate(&x, &[]));
+        }
+        assert_eq!(original.tree().depth(), restored.tree().depth());
+        assert_eq!(original.tree().node_count(), restored.tree().node_count());
+        assert!(decode_tree(&words[..words.len() - 1], 2).is_err());
+        let mut trailing = words;
+        trailing.push(f(0.5));
+        assert!(decode_tree(&trailing, 2).unwrap_err().contains("trailing"));
+    }
+
+    #[test]
+    fn node_tags_and_counts_must_be_canonical() {
+        let words = encode_tree(&trained());
+        let with = |at: usize, word: u64| {
+            let mut w = words.clone();
+            w[at] = word;
+            decode_tree(&w, 2).unwrap_err()
+        };
+        // [magic, n_nodes, root tag, root feature, root threshold, ...]
+        assert!(with(0, f(1.0)).starts_with("tree.magic"));
+        assert!(with(1, f(3.0)).starts_with("tree.nodes"));
+        assert!(with(2, f(2.0)).starts_with("tree.tag"));
+        assert!(with(2, f(-0.0)).starts_with("tree.tag"));
+        assert!(with(3, f(0.5)).starts_with("tree.feature"));
+    }
+
+    #[test]
+    fn split_beyond_the_input_width_is_rejected() {
+        // Without the width check, a root split on feature 99 of a 2-wide
+        // input decodes and then panics in `predict` indexing `input[99]`.
+        let tree = trained();
+        let mut words = encode_tree(&tree);
+        assert_eq!(words[2], f(1.0), "the root is a split");
+        words[3] = f(99.0);
+        assert!(decode_tree(&words, 2).unwrap_err().starts_with("tree.feature"));
+        let mut snapshot = tree.export_model_words().unwrap();
+        snapshot[3] = f(99.0);
+        let mut other = tree;
+        assert!(other.import_model_words(&snapshot, 2).unwrap_err().starts_with("tree.feature"));
+        // The width is the caller's: the same words fit a 100-wide input.
+        assert!(decode_tree(&words, 100).is_ok());
+    }
+
+    #[test]
+    fn huge_node_count_is_rejected_without_allocating() {
+        // A decoder that reserves `n_nodes` slots up front asks for 24 GB.
+        let mut words = encode_tree(&trained());
+        words[1] = f(999_999_999.0);
+        assert!(decode_tree(&words, 2).unwrap_err().starts_with("tree.nodes"));
+    }
+
+    #[test]
+    fn deep_split_chain_is_rejected_without_recursing_through_it() {
+        // 200 000 splits, each the left child of the one before: a
+        // recursive decoder without a depth bound overflows the stack.
+        let splits = 200_000usize;
+        let mut words = vec![f(TREE_MAGIC), f((2 * splits + 1) as f64)];
+        for _ in 0..splits {
+            words.extend([f(1.0), f(0.0), f(0.5)]);
+        }
+        for _ in 0..=splits {
+            words.extend([f(0.0), f(0.25)]);
+        }
+        assert!(decode_tree(&words, 1).unwrap_err().starts_with("tree.depth"));
+        // A chain exactly at the limit still decodes.
+        let mut at_limit = vec![f(TREE_MAGIC), f((2 * MAX_DECODE_DEPTH + 1) as f64)];
+        for _ in 0..MAX_DECODE_DEPTH {
+            at_limit.extend([f(1.0), f(0.0), f(0.5)]);
+        }
+        for _ in 0..=MAX_DECODE_DEPTH {
+            at_limit.extend([f(0.0), f(0.25)]);
+        }
+        assert_eq!(decode_tree(&at_limit, 1).unwrap().tree().depth(), MAX_DECODE_DEPTH);
     }
 
     proptest! {

@@ -15,7 +15,7 @@
 //! | `drain`    | `session` (optional — omitted drains **all** sessions through one multiplexed scheduling round) |
 //! | `stats`    | `session`                                                         |
 //! | `close`    | `session`                                                         |
-//! | `snapshot` | `session` — serialize the session's config and live state as one line of hex words (`rumba-session-snapshot v2`, see [`crate::snapshot`]) |
+//! | `snapshot` | `session` — serialize the session's config and live state as one line of hex words (`rumba-session-snapshot v3`, see [`crate::snapshot`]) |
 //! | `restore`  | `session`, `state` (a `snapshot` payload) — rebuild the session, bit-for-bit; the snapshot's config passes `open`'s validator (sizes, fault rates) and every word is checked before training |
 //! | `shutdown` | —                                                                 |
 

@@ -12,10 +12,10 @@ use rumba_core::runtime::{
 };
 use rumba_core::trainer::{invocation_errors, train_app, OfflineConfig, TrainedApp};
 use rumba_core::tuner::{calibrate_threshold, Tuner, TuningMode};
-use rumba_core::words::WordReader;
 use rumba_core::zoo::{train_zoo, ModelZoo};
 use rumba_faults::{FaultModel, FaultPlan};
 use rumba_nn::{Matrix, MatrixView, NnDataset, Scratch};
+use rumba_obs::words::WordReader;
 use rumba_obs::Event;
 use rumba_predict::{EmaDetector, ErrorEstimator};
 

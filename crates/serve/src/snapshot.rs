@@ -9,7 +9,7 @@
 //! IEEE-754 bits, so round-trips are bit-exact):
 //!
 //! ```text
-//! rumba-session-snapshot v2 kernel=gaussian 000000000000002a 0000000000000000
+//! rumba-session-snapshot v3 kernel=gaussian 000000000000002a 0000000000000000
 //!     3feccccccccccccd 0000000000000010 ...
 //! ```
 //!
@@ -17,7 +17,10 @@
 //! one [`WordReader`]: first the [`SessionConfig`] (`write_config`'s
 //! layout), then the session state (`write_state`'s layout) — the
 //! runtime's `export_state` words as a length-prefixed block, 14 stats
-//! words, the queued rows and the completed results. Every field is
+//! words, the queued rows and the completed results. A refit-armed
+//! runtime block carries the re-fitted checker as its config stream —
+//! the words the trained-model cache stores for that checker — followed
+//! by the signed flag and the signed companion. Every field is
 //! checked as it is read, so a malformed or edited snapshot is rejected
 //! with the name of the field, and an accepted one re-snapshots to the
 //! same bytes.
@@ -33,14 +36,14 @@ use rumba_apps::Kernel;
 use rumba_core::event_sim::QueueConfig;
 use rumba_core::runtime::{FixPolicy, WatchdogConfig};
 use rumba_core::tuner::TuningMode;
-use rumba_core::words::{push_block, WordReader};
 use rumba_faults::{FaultModel, FaultPlan};
+use rumba_obs::words::{push_block, WordReader};
 
 use crate::session::{AdmissionPolicy, CheckerKind, SessionConfig, SessionResult, SessionStats};
 
 /// Leading tokens of every snapshot; bump the version when the word
 /// layout changes.
-pub const FORMAT_HEADER: &str = "rumba-session-snapshot v2";
+pub const FORMAT_HEADER: &str = "rumba-session-snapshot v3";
 
 /// Checker kinds by their word tag (declaration order of [`CheckerKind`]).
 const CHECKERS: [CheckerKind; 4] =
@@ -69,7 +72,7 @@ pub(crate) fn decode(text: &str) -> Result<(&str, Vec<u64>), String> {
     let rest = text
         .strip_prefix(FORMAT_HEADER)
         .and_then(|rest| rest.strip_prefix(" kernel="))
-        .ok_or("not a rumba-session-snapshot v2")?;
+        .ok_or_else(|| format!("not a {FORMAT_HEADER}"))?;
     let mut tokens = rest.split(' ');
     let kernel = tokens.next().unwrap_or_default();
     let words = tokens
@@ -402,12 +405,12 @@ mod tests {
         let text = encode("gaussian", &[0x2a, 0xdead_beef]);
         assert_eq!(
             text,
-            "rumba-session-snapshot v2 kernel=gaussian 000000000000002a 00000000deadbeef"
+            "rumba-session-snapshot v3 kernel=gaussian 000000000000002a 00000000deadbeef"
         );
         assert_eq!(decode(&text).unwrap(), ("gaussian", vec![0x2a, 0xdead_beef]));
         for bad in [
             "rumba-trained-model-cache v1".to_owned(),
-            text.replace("v2", "v1"),
+            text.replace("v3", "v2"),
             text.replace("beef", "BEEF"),
             text.replace(" 00000000", "  00000000"),
             text.replace("002a", "02a"),

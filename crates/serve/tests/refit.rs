@@ -3,21 +3,31 @@
 //! accumulators, bounded reservoir, refit epoch, re-fit model words —
 //! travels in the session snapshot, so a snapshot → restore → continue
 //! run is bitwise identical to the uninterrupted stream even when the
-//! cut lands mid-refit with the reservoir partially filled, and a
+//! cut lands after a committed refit with the reservoir refilling, and a
 //! snapshot restored under a new name migrates to a different shard of a
 //! TCP pool without perturbing the stream.
+//!
+//! The protocol's `"watchdog":true` arms the default watchdog, which a
+//! short drifted stream never pushes to a refit. The mid-refit sessions
+//! are therefore opened in process through [`SessionConfig`] with a
+//! strict watchdog, the shape the snapshot mutation suite uses, and every
+//! request after the open goes through the protocol.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
 
 use rumba_apps::{kernel_by_name, Split};
+use rumba_core::event_sim::QueueConfig;
+use rumba_core::runtime::WatchdogConfig;
+use rumba_core::tuner::TuningMode;
+use rumba_faults::FaultPlan;
 use rumba_nn::NnDataset;
 use rumba_obs::json::{parse_object, JsonWriter, ObjectExt};
 use rumba_serve::protocol::handle_line;
 use rumba_serve::shard::shard_of;
 use rumba_serve::transport::NetServer;
-use rumba_serve::ServeRuntime;
+use rumba_serve::{ServeRuntime, SessionConfig};
 
 fn workload() -> &'static NnDataset {
     static DATA: OnceLock<NnDataset> = OnceLock::new();
@@ -37,6 +47,41 @@ fn open_refit_req(name: &str) -> String {
          \"admission\":\"shed\",\"faults\":\"input_drift=8:16:2.0\",\"fault_seed\":42,\
          \"watchdog\":true,\"refit\":true}}"
     )
+}
+
+/// A tree-checked session under a tight target, a ramped input drift and
+/// a strict watchdog: dirty windows reach the `Recalibrated` rung, where
+/// the reservoir's rows re-fit the checker.
+fn strict_refit_config() -> SessionConfig {
+    SessionConfig {
+        mode: TuningMode::TargetQuality { toq: 0.99 },
+        window: 16,
+        queue: QueueConfig { input_capacity: 8, ..QueueConfig::default() },
+        faults: Some(FaultPlan::parse(42, "input_drift=32:32:1.0").unwrap()),
+        watchdog: Some(WatchdogConfig {
+            quality_limit: 0.02,
+            patience: 2,
+            fallback_patience: 1000,
+        }),
+        refit: true,
+        ..SessionConfig::default()
+    }
+}
+
+/// Opens `name` under [`strict_refit_config`] and serves the invoke
+/// script until a refit has committed, a few rows past a drain. Returns
+/// the number of invokes served, where the continuation picks up.
+fn serve_until_refit(rt: &mut ServeRuntime, name: &str) -> usize {
+    rt.open(name, strict_refit_config()).unwrap();
+    let mut k = 0;
+    while rt.session(name).unwrap().refit_epoch() == 0 {
+        assert!(k < 4000, "the session never committed a refit");
+        replay(rt, &invoke_script(name, k, 4));
+        k += 4;
+    }
+    // Two invokes past the drain: the cut also carries queued rows.
+    replay(rt, &invoke_script(name, k, 2));
+    k + 2
 }
 
 fn invoke_req(name: &str, input: &[f64]) -> String {
@@ -99,35 +144,33 @@ fn snapshot_words(state: &str) -> usize {
 
 #[test]
 fn mid_refit_snapshot_restore_continue_is_bitwise_identical() {
-    // Head: 40 drifted invocations — the audit channel has sampled exact
-    // results into the reservoir by the cut, so the snapshot is taken
-    // mid-refit with the reservoir partially filled.
-    let head: Vec<(String, &str)> =
-        std::iter::once((open_refit_req("t0"), "open")).chain(invoke_script("t0", 0, 40)).collect();
-    let tail: Vec<(String, &str)> =
-        invoke_script("t0", 40, 24).into_iter().chain(closing_script("t0")).collect();
+    let tail = |base: usize| -> Vec<(String, &'static str)> {
+        invoke_script("t0", base, 24).into_iter().chain(closing_script("t0")).collect()
+    };
 
     // Uninterrupted reference.
     let mut rt = ServeRuntime::new();
-    replay(&mut rt, &head);
-    let expected = replay(&mut rt, &tail);
+    let cut = serve_until_refit(&mut rt, "t0");
+    let expected = replay(&mut rt, &tail(cut));
 
     // Interrupted run: snapshot at the cut, "crash", restore, continue.
     let mut rt = ServeRuntime::new();
-    replay(&mut rt, &head);
+    assert_eq!(serve_until_refit(&mut rt, "t0"), cut);
     let state = snapshot_state(&mut rt, "t0");
+    assert!(rt.session("t0").unwrap().refit_epoch() >= 1, "the cut follows a committed refit");
     drop(rt);
 
     let mut rt = ServeRuntime::new();
     let (ack, _) = handle_line(&mut rt, &restore_req("t0", &state));
     assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"restore\""), "{ack:?}");
+    assert!(rt.session("t0").unwrap().refit_epoch() >= 1, "the refit epoch travels");
 
     // The restored session re-snapshots to the exact same line: the refit
-    // tail (epoch, audit sums, model words, reservoir rows) is a fixed
-    // point of the codec.
+    // tail (epoch, audit sums, re-fitted model words, reservoir rows) is a
+    // fixed point of the codec.
     assert_eq!(snapshot_state(&mut rt, "t0"), state, "snapshot must round-trip bit-exactly");
 
-    let continued = replay(&mut rt, &tail);
+    let continued = replay(&mut rt, &tail(cut));
     assert_eq!(continued, expected, "restored mid-refit session diverged");
 }
 
@@ -208,36 +251,41 @@ fn mid_refit_snapshot_migrates_across_tcp_shards() {
         .into_iter()
         .find(|n| shard_of(n, 2) != shard_of(old, 2))
         .expect("some candidate hashes to the other shard");
+    let tail = |name: &str, base: usize| -> Vec<(String, &'static str)> {
+        invoke_script(name, base, 24).into_iter().chain(closing_script(name)).collect()
+    };
 
     // Uninterrupted in-process reference.
-    let head: Vec<(String, &str)> =
-        std::iter::once((open_refit_req(old), "open")).chain(invoke_script(old, 0, 40)).collect();
-    let tail = |name: &str| -> Vec<(String, &'static str)> {
-        invoke_script(name, 40, 24).into_iter().chain(closing_script(name)).collect()
-    };
     let mut rt = ServeRuntime::new();
-    replay(&mut rt, &head);
-    let expected = replay(&mut rt, &tail(old));
+    let cut = serve_until_refit(&mut rt, old);
+    let expected = replay(&mut rt, &tail(old, cut));
 
-    // Networked run: same head on `old`'s shard, snapshot mid-refit,
+    // The same head in process, cut after a committed refit.
+    let mut rt = ServeRuntime::new();
+    serve_until_refit(&mut rt, old);
+    let state = snapshot_state(&mut rt, old);
+    assert!(rt.session(old).unwrap().refit_epoch() >= 1, "the cut follows a committed refit");
+    drop(rt);
+
+    // Networked run: restore on `old`'s shard, snapshot over the wire,
     // close the original, restore under `new` on the *other* shard,
     // continue there.
     let server = NetServer::bind_tcp("127.0.0.1:0", 2).unwrap();
     let addr = server.addr().to_owned();
     let mut client = Client::connect(&addr);
-    for (line, op) in &head {
-        client.request(line, op);
-    }
+    let ack = client.request(&restore_req(old, &state), "restore");
+    assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"restore\""), "{ack:?}");
     let snap =
         client.request(&format!("{{\"op\":\"snapshot\",\"session\":\"{old}\"}}"), "snapshot");
-    let state = parse_object(&snap[0]).unwrap().string("state").expect("state").to_owned();
+    let wired = parse_object(&snap[0]).unwrap().string("state").expect("state").to_owned();
+    assert_eq!(wired, state, "the snapshot crosses the wire and a shard unchanged");
     client.request(&format!("{{\"op\":\"close\",\"session\":\"{old}\"}}"), "close");
 
-    let ack = client.request(&restore_req(new, &state), "restore");
+    let ack = client.request(&restore_req(new, &wired), "restore");
     assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"restore\""), "{ack:?}");
 
     let mut migrated = Vec::new();
-    for (line, op) in &tail(new) {
+    for (line, op) in &tail(new, cut) {
         migrated.extend(client.request(line, op));
     }
     client.request("{\"op\":\"shutdown\"}", "shutdown");

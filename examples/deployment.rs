@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         transfer.words, transfer.bursts, transfer.cycles
     );
     let npu = image.instantiate_npu(NpuParams::default())?;
-    let checker = decode_tree(image.checker_words())?;
+    let checker = decode_tree(image.checker_words(), npu.input_dim())?;
 
     // ---- run the reconstituted system online ----
     let mut system = RumbaSystem::new(
