@@ -255,6 +255,37 @@ for simd in 0 1; do
 done
 echo "    zoo sweep byte-identical at SIMD {0,1} x threads {1,4}"
 
+echo "==> warm-cache golden gate: compensate, zoo and bench-serve filling, then hitting, the model cache"
+# Every other golden gate runs with RUMBA_CACHE=0, so none reads a cache
+# entry back. Here the first run of each command fills a fresh cache
+# directory and the second loads from it (each must report a hit); both
+# must match the goldens byte for byte, so serving from stored models,
+# signed-error companions and zoo tiers included, is bit-exact with
+# training them.
+warm_cache="$smoke_dir/model-cache"
+for run in fill hit; do
+    for golden in compensate zoo serve_trace; do
+        case $golden in
+            compensate) args=(compensate) ;;
+            zoo) args=(zoo --seed 7) ;;
+            serve_trace) args=(bench-serve --seed 7) ;;
+        esac
+        RUMBA_CACHE=1 RUMBA_CACHE_DIR="$warm_cache" \
+            cargo run --release -q -p rumba-cli --bin rumba -- "${args[@]}" \
+            >"$smoke_dir/warm.$golden.$run" 2>"$smoke_dir/warm.$golden.$run.err"
+        if ! cmp -s "$smoke_dir/warm.$golden.$run" "ci/$golden.golden"; then
+            echo "FAIL: ${args[*]} ($run run) differs from ci/$golden.golden" >&2
+            diff "ci/$golden.golden" "$smoke_dir/warm.$golden.$run" | head -20 >&2
+            exit 1
+        fi
+        if [ "$run" = hit ] && ! grep -q '^\[cache\] hit: ' "$smoke_dir/warm.$golden.$run.err"; then
+            echo "FAIL: ${args[*]} did not load from the filled cache" >&2
+            exit 1
+        fi
+    done
+done
+echo "    compensate, zoo and serve trace byte-identical on a cold and a warm model cache"
+
 echo "==> golden check: open-world drift sweep vs ci/drift.golden"
 # The drift sweep streams seeded open-world scenarios (every sample a
 # pure hash of seed x scenario x invocation) through the reset-only

@@ -10,13 +10,32 @@
 //! the accelerator and checker **config-words** — as plain text, with each
 //! `f64` word written as the hex of its bit pattern so a round-trip is
 //! bit-exact. A cache hit therefore produces byte-identical downstream
-//! results to a fresh training run.
+//! results to a fresh training run, and needs neither the train split nor
+//! any fit.
+//!
+//! An app entry is the header, a `kernel <name>` line and these counted
+//! sections, in order:
+//! - `rumba_model`, `baseline_model`: the two accelerators' config words;
+//! - `linear`, `tree`, `evp`: the three checkers' config streams;
+//! - `train_errors`: the Rumba accelerator's per-invocation errors on the
+//!   train split (the threshold calibration's targets);
+//! - `signed_linear`, `signed_tree`: the linear and tree checkers'
+//!   signed-error companions for the compensation path, in the
+//!   [`LinearModel::write_words`] / [`DecisionTree::write_words`] layout a
+//!   refit snapshot carries after its signed flag.
+//!
+//! Sections are found by name: a reader ignores sections it does not
+//! know, and an entry that lacks one it needs (one written before the
+//! signed companions were stored, say) is a miss, so the next training
+//! run rewrites it. The zoo entry's sections are listed at
+//! `write_zoo_entry`.
 //!
 //! Any malformed file reads as a miss (and retrains). That holds because
 //! each section is decoded by its model's one config-stream decoder
 //! ([`decode_model`], [`decode_linear`], [`decode_tree`], [`decode_evp`],
-//! [`LinearModel::read_words`] for zoo routers), all reading through one
-//! [`WordReader`]:
+//! [`LinearModel::read_words`] for zoo routers and the signed linear fit,
+//! [`DecisionTree::read_words`] for the signed tree), all reading through
+//! one [`WordReader`]:
 //! - a section's words are collected as they are parsed, so its declared
 //!   count never sizes an allocation, and must match what was parsed;
 //! - every count word must be a whole `f64` no larger than the words that
@@ -24,8 +43,8 @@
 //!   checked arithmetic and compared before the network is built);
 //! - tags, flags and activation codes must be their exact canonical
 //!   words, so an accepted section re-encodes to the same words;
-//! - a tree split must read a feature inside the accelerator's input
-//!   width, and splits may nest at most
+//! - a tree split (checker or signed companion) must read a feature
+//!   inside the accelerator's input width, and splits may nest at most
 //!   [`MAX_DECODE_DEPTH`](rumba_predict::MAX_DECODE_DEPTH) deep;
 //! - trailing words in any section are rejected.
 //!
@@ -46,8 +65,8 @@ use rumba_accel::{Npu, NpuParams};
 use rumba_nn::{decode_model, encode_model, TrainParams, TrainedModel};
 use rumba_obs::words::{push_f64s, read_all, whole, WordReader};
 use rumba_predict::{
-    decode_evp, decode_linear, decode_tree, encode_evp, encode_linear, encode_tree, EvpErrors,
-    LinearErrors, LinearModel, TreeErrors,
+    decode_evp, decode_linear, decode_tree, encode_evp, encode_linear, encode_tree, DecisionTree,
+    EvpErrors, LinearErrors, LinearModel, TreeErrors,
 };
 
 use crate::trainer::OfflineConfig;
@@ -57,8 +76,8 @@ const FORMAT_HEADER: &str = "rumba-trained-model-cache v1";
 
 /// The decoded contents of one cache entry: everything `train_app` fits
 /// with a neural network or a closed-form solver. Entries written before
-/// the EVP section existed simply miss (a missing section is a malformed
-/// entry) and retrain.
+/// the EVP or the signed-fit sections existed simply miss (a missing
+/// section is a malformed entry) and retrain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedModels {
     /// The Rumba-topology accelerator model.
@@ -73,6 +92,11 @@ pub struct CachedModels {
     pub evp: EvpErrors,
     /// Per-invocation accelerator errors on the train split.
     pub train_errors: Vec<f64>,
+    /// The linear checker's signed-error companion (the compensation
+    /// path's fit on per-row mean signed output errors).
+    pub signed_linear: LinearModel,
+    /// The tree checker's signed-error companion.
+    pub signed_tree: DecisionTree,
 }
 
 /// A directory of plain-text config-word files keyed by kernel, topology,
@@ -373,6 +397,12 @@ fn write_entry(path: &Path, kernel_name: &str, models: &CachedModels) -> std::io
     let mut errors = Vec::new();
     push_f64s(&mut errors, &models.train_errors);
     push_section(&mut text, "train_errors", &errors);
+    let mut signed = Vec::new();
+    models.signed_linear.write_words(&mut signed);
+    push_section(&mut text, "signed_linear", &signed);
+    signed.clear();
+    models.signed_tree.write_words(&mut signed);
+    push_section(&mut text, "signed_tree", &signed);
     write_atomically(path, &text)
 }
 
@@ -435,14 +465,18 @@ fn parse_entry(text: &str) -> Option<CachedModels> {
     let sections = parse_sections(text)?;
     let find = |name: &str| sections.iter().find(|(n, _)| n == name).map(|(_, w)| w.as_slice());
     let rumba_model = decode_model(find("rumba_model")?).ok()?;
-    // The tree checker reads the accelerator's input rows.
-    let tree = decode_tree(find("tree")?, rumba_model.mlp().input_dim()).ok()?;
+    // Both trees read the accelerator's input rows.
+    let input_dim = rumba_model.mlp().input_dim();
+    let read_signed_tree = |r: &mut WordReader| DecisionTree::read_words(r, input_dim);
     Some(CachedModels {
         baseline_model: decode_model(find("baseline_model")?).ok()?,
         linear: decode_linear(find("linear")?).ok()?,
-        tree,
+        tree: decode_tree(find("tree")?, input_dim).ok()?,
         evp: decode_evp(find("evp")?).ok()?,
         train_errors: find("train_errors")?.iter().map(|&w| f64::from_bits(w)).collect(),
+        signed_linear: read_all(find("signed_linear")?, "signed_linear", LinearModel::read_words)
+            .ok()?,
+        signed_tree: read_all(find("signed_tree")?, "signed_tree", read_signed_tree).ok()?,
         rumba_model,
     })
 }
@@ -552,10 +586,68 @@ mod tests {
         assert_eq!(encode_tree(&loaded.tree), encode_tree(&trained.tree));
         assert_eq!(encode_evp(&loaded.evp), encode_evp(&trained.evp));
         assert_eq!(bits(&loaded.train_errors), bits(&trained.train_errors));
+        assert_eq!(Some(&loaded.signed_linear), trained.linear.signed_model());
+        assert_eq!(Some(&loaded.signed_tree), trained.tree.signed_tree());
 
         // A different seed must miss.
         let other = OfflineConfig { seed: cfg.seed + 1, ..cfg };
         assert!(cache.load(kernel.name(), topologies, &other, &nn_params).is_none());
+        let _ = fs::remove_dir_all(cache.dir);
+    }
+
+    /// Trains gaussian into `cache` and returns the entry's path and text.
+    fn stored_gaussian_entry(cache: &TrainedModelCache) -> (PathBuf, String) {
+        let kernel = kernel_by_name("gaussian").unwrap();
+        let cfg = OfflineConfig::default();
+        train_app_with_cache(kernel.as_ref(), &cfg, cache).unwrap();
+        let (rumba, npu) = (kernel.rumba_topology(), kernel.npu_topology());
+        let path =
+            cache.entry_path(kernel.name(), (&rumba, &npu), &cfg, &nn_params_for(kernel.as_ref()));
+        let text = fs::read_to_string(&path).unwrap();
+        (path, text)
+    }
+
+    fn load_gaussian(cache: &TrainedModelCache) -> Option<CachedModels> {
+        let kernel = kernel_by_name("gaussian").unwrap();
+        let (rumba, npu) = (kernel.rumba_topology(), kernel.npu_topology());
+        let nn_params = nn_params_for(kernel.as_ref());
+        cache.load(kernel.name(), (&rumba, &npu), &OfflineConfig::default(), &nn_params)
+    }
+
+    #[test]
+    fn an_entry_without_the_signed_sections_misses_and_is_rewritten_whole() {
+        let cache = temp_cache("unsigned");
+        let (path, full) = stored_gaussian_entry(&cache);
+        // The entry as it was written before the signed companions were
+        // stored: the same sections, with the last two cut off.
+        let cut = full.find("section signed_linear ").expect("the signed sections are stored");
+        assert!(full[cut..].contains("\nsection signed_tree "));
+        fs::write(&path, &full[..cut]).unwrap();
+        assert!(load_gaussian(&cache).is_none(), "an entry lacking the signed fits is a miss");
+        // The next training run retrains and rewrites the identical entry.
+        let kernel = kernel_by_name("gaussian").unwrap();
+        train_app_with_cache(kernel.as_ref(), &OfflineConfig::default(), &cache).unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), full);
+        assert!(load_gaussian(&cache).is_some());
+        let _ = fs::remove_dir_all(cache.dir);
+    }
+
+    #[test]
+    fn an_entry_with_an_unknown_section_still_loads() {
+        // Sections are found by name, which is what lets a reader that
+        // predates a section keep hitting entries that carry it.
+        let cache = temp_cache("extra-section");
+        let (path, full) = stored_gaussian_entry(&cache);
+        let expected = load_gaussian(&cache).expect("the stored entry loads");
+        let mut extra = full.clone();
+        push_section(&mut extra, "from_a_later_format", &[1, 2, 3]);
+        let mut ahead = entry_head("gaussian");
+        push_section(&mut ahead, "another_one", &[]);
+        ahead.push_str(full.strip_prefix(entry_head("gaussian").as_str()).unwrap());
+        for text in [extra, ahead] {
+            fs::write(&path, &text).unwrap();
+            assert_eq!(load_gaussian(&cache).as_ref(), Some(&expected), "{text}");
+        }
         let _ = fs::remove_dir_all(cache.dir);
     }
 

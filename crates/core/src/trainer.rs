@@ -14,7 +14,7 @@ use rumba_apps::Kernel;
 use rumba_nn::{Activation, Matrix, NnDataset, Scratch, TrainParams, TrainedModel};
 use rumba_predict::{DecisionTree, EvpErrors, LinearErrors, LinearModel, TreeErrors, TreeParams};
 
-use crate::cache::TrainedModelCache;
+use crate::cache::{CachedModels, TrainedModelCache};
 use crate::{Result, RumbaError};
 
 /// Settings for the offline pipeline.
@@ -118,6 +118,9 @@ pub fn train_app(kernel: &dyn Kernel, cfg: &OfflineConfig) -> Result<TrainedApp>
 /// [`train_app`] with an explicit cache (tests inject temp directories and
 /// [`TrainedModelCache::disabled`]).
 ///
+/// A cache hit loads every model, the signed-error fits included, and
+/// generates no train split; a miss fits them all and stores them.
+///
 /// # Errors
 ///
 /// Propagates network-training and checker-training failures; an empty
@@ -127,117 +130,88 @@ pub fn train_app_with_cache(
     cfg: &OfflineConfig,
     cache: &TrainedModelCache,
 ) -> Result<TrainedApp> {
-    let train = kernel.generate(rumba_apps::Split::Train, cfg.seed);
-    if train.is_empty() {
-        return Err(RumbaError::EmptyWorkload);
-    }
     let nn_params = nn_params_for(kernel);
     let rumba_topo = kernel.rumba_topology();
     let npu_topo = kernel.npu_topology();
     let topologies = (rumba_topo.as_slice(), npu_topo.as_slice());
 
-    if let Some(cached) = cache.load(kernel.name(), topologies, cfg, &nn_params) {
-        // The cached config-words are bit-exact, so everything derived
-        // from them below matches a fresh training run exactly. Signed
-        // fits are not part of the cache codec: they are refit here, which
-        // is deterministic because the batched replay is bit-exact.
-        let rumba_npu = Npu::new(cached.rumba_model, cfg.npu_params);
-        let baseline_npu = Npu::new(cached.baseline_model, cfg.npu_params);
-        let (linear, tree) =
-            attach_signed_fits(&rumba_npu, &train, cfg, cached.linear, cached.tree)?;
-        return Ok(TrainedApp {
-            name: kernel.name().to_owned(),
-            rumba_npu,
-            baseline_npu,
-            linear,
-            tree,
-            evp: cached.evp,
-            ema_window: cfg.ema_window,
-            train_errors: cached.train_errors,
-        });
-    }
+    // The cached config-words are bit-exact, so a hit serves exactly what
+    // a fresh training run would.
+    let models = match cache.load(kernel.name(), topologies, cfg, &nn_params) {
+        Some(models) => models,
+        None => {
+            let models = fit_models(kernel, cfg, &nn_params)?;
+            cache.store(kernel.name(), topologies, cfg, &nn_params, &models);
+            models
+        }
+    };
+    Ok(TrainedApp {
+        name: kernel.name().to_owned(),
+        rumba_npu: Npu::new(models.rumba_model, cfg.npu_params),
+        baseline_npu: Npu::new(models.baseline_model, cfg.npu_params),
+        linear: models.linear.with_signed_model(models.signed_linear),
+        tree: models.tree.with_signed_tree(models.signed_tree),
+        evp: models.evp,
+        ema_window: cfg.ema_window,
+        train_errors: models.train_errors,
+    })
+}
 
+/// The offline pipeline proper (the cache-miss path): fits both
+/// accelerators on the train split, replays the Rumba accelerator over it
+/// once, and fits the checkers on what that replay observed — magnitude
+/// models on the kernel metric's per-invocation errors, and the *signed*
+/// models the compensation path subtracts on the per-row mean signed
+/// output error `mean_j(approx[j] − exact[j])`.
+fn fit_models(
+    kernel: &dyn Kernel,
+    cfg: &OfflineConfig,
+    nn_params: &TrainParams,
+) -> Result<CachedModels> {
+    let train = kernel.generate(rumba_apps::Split::Train, cfg.seed);
+    if train.is_empty() {
+        return Err(RumbaError::EmptyWorkload);
+    }
     let rumba_model = TrainedModel::fit(
         &kernel.rumba_topology(),
         Activation::Sigmoid,
         &train,
-        &nn_params,
+        nn_params,
         cfg.seed ^ 0xace1,
     )?;
     let baseline_model = TrainedModel::fit(
         &kernel.npu_topology(),
         Activation::Sigmoid,
         &train,
-        &nn_params,
+        nn_params,
         cfg.seed ^ 0xace2,
     )?;
-    let rumba_npu = Npu::new(rumba_model, cfg.npu_params);
-    let baseline_npu = Npu::new(baseline_model, cfg.npu_params);
 
-    let train_errors = invocation_errors(kernel, &rumba_npu, &train)?;
-    let rows: Vec<&[f64]> = (0..train.len()).map(|i| train.input(i)).collect();
-    let exact_rows: Vec<&[f64]> = (0..train.len()).map(|i| train.target(i)).collect();
-
-    let linear = LinearErrors::train(&rows, &train_errors, cfg.ridge)?;
-    let tree = TreeErrors::train(&rows, &train_errors, &cfg.tree_params)?;
-    let evp = EvpErrors::train(&rows, &exact_rows, cfg.ridge)?;
-    // The magnitude models above go in the cache; signed fits ride outside
-    // it (see the cache-hit path) so stored entries stay format-stable.
-    let (linear, tree) = attach_signed_fits(&rumba_npu, &train, cfg, linear, tree)?;
-
-    cache.store(
-        kernel.name(),
-        topologies,
-        cfg,
-        &nn_params,
-        &crate::cache::CachedModels {
-            rumba_model: rumba_npu.model().clone(),
-            baseline_model: baseline_npu.model().clone(),
-            linear: linear.clone(),
-            tree: tree.clone(),
-            evp: evp.clone(),
-            train_errors: train_errors.clone(),
-        },
-    );
-
-    Ok(TrainedApp {
-        name: kernel.name().to_owned(),
-        rumba_npu,
-        baseline_npu,
-        linear,
-        tree,
-        evp,
-        ema_window: cfg.ema_window,
-        train_errors,
-    })
-}
-
-/// Fits the *signed* error models the compensation path subtracts and
-/// attaches them to the magnitude checkers. The target is the per-row mean
-/// signed output error, `mean_j(approx[j] − exact[j])`, observed by
-/// replaying the accelerator over the train split — the same replay the
-/// magnitude targets came from, so the fit is deterministic on both the
-/// fresh and cache-hit paths.
-fn attach_signed_fits(
-    rumba_npu: &Npu,
-    train: &NnDataset,
-    cfg: &OfflineConfig,
-    linear: LinearErrors,
-    tree: TreeErrors,
-) -> Result<(LinearErrors, TreeErrors)> {
-    let approx = approximate_outputs(rumba_npu, train)?;
-    let out_dim = rumba_npu.output_dim();
+    let out_dim = rumba_model.mlp().output_dim();
+    let approx = approximate_outputs(&Npu::new(rumba_model.clone(), cfg.npu_params), &train)?;
+    let approx_row = |i: usize| &approx[i * out_dim..(i + 1) * out_dim];
+    let metric = kernel.metric();
+    let train_errors: Vec<f64> =
+        (0..train.len()).map(|i| metric.invocation_error(train.target(i), approx_row(i))).collect();
     let signed: Vec<f64> = (0..train.len())
         .map(|i| {
-            let row = &approx[i * out_dim..(i + 1) * out_dim];
             let exact = train.target(i);
-            row.iter().zip(exact).map(|(a, e)| a - e).sum::<f64>() / out_dim as f64
+            approx_row(i).iter().zip(exact).map(|(a, e)| a - e).sum::<f64>() / out_dim as f64
         })
         .collect();
+
     let rows: Vec<&[f64]> = (0..train.len()).map(|i| train.input(i)).collect();
-    let signed_linear = LinearModel::fit(&rows, &signed, cfg.ridge)?;
-    let signed_tree = DecisionTree::fit(&rows, &signed, &cfg.tree_params)?;
-    Ok((linear.with_signed_model(signed_linear), tree.with_signed_tree(signed_tree)))
+    let exact_rows: Vec<&[f64]> = (0..train.len()).map(|i| train.target(i)).collect();
+    Ok(CachedModels {
+        linear: LinearErrors::train(&rows, &train_errors, cfg.ridge)?,
+        tree: TreeErrors::train(&rows, &train_errors, &cfg.tree_params)?,
+        evp: EvpErrors::train(&rows, &exact_rows, cfg.ridge)?,
+        signed_linear: LinearModel::fit(&rows, &signed, cfg.ridge)?,
+        signed_tree: DecisionTree::fit(&rows, &signed, &cfg.tree_params)?,
+        rumba_model,
+        baseline_model,
+        train_errors,
+    })
 }
 
 /// Replays an accelerator over a dataset and scores each invocation with
@@ -301,24 +275,83 @@ mod tests {
         assert_eq!(a.train_errors, b.train_errors);
     }
 
+    /// A kernel that counts how often its data split is generated.
+    #[derive(Debug)]
+    struct CountingKernel {
+        inner: Box<dyn Kernel>,
+        generated: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Kernel for CountingKernel {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn domain(&self) -> &'static str {
+            self.inner.domain()
+        }
+        fn input_dim(&self) -> usize {
+            self.inner.input_dim()
+        }
+        fn output_dim(&self) -> usize {
+            self.inner.output_dim()
+        }
+        fn compute(&self, input: &[f64], output: &mut [f64]) {
+            self.inner.compute(input, output);
+        }
+        fn metric(&self) -> rumba_apps::ErrorMetric {
+            self.inner.metric()
+        }
+        fn rumba_topology(&self) -> Vec<usize> {
+            self.inner.rumba_topology()
+        }
+        fn npu_topology(&self) -> Vec<usize> {
+            self.inner.npu_topology()
+        }
+        fn generate(&self, split: rumba_apps::Split, seed: u64) -> NnDataset {
+            self.generated.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.generate(split, seed)
+        }
+        fn cpu_cycles(&self) -> f64 {
+            self.inner.cpu_cycles()
+        }
+        fn kernel_fraction(&self) -> f64 {
+            self.inner.kernel_fraction()
+        }
+        fn train_data_desc(&self) -> &'static str {
+            self.inner.train_data_desc()
+        }
+        fn test_data_desc(&self) -> &'static str {
+            self.inner.test_data_desc()
+        }
+    }
+
     #[test]
     fn signed_fits_are_attached_on_fresh_and_cached_paths() {
         use crate::cache::TrainedModelCache;
         use rumba_predict::ErrorEstimator;
-        let kernel = kernel_by_name("gaussian").unwrap();
+        use std::sync::atomic::Ordering;
+        let kernel = CountingKernel {
+            inner: kernel_by_name("gaussian").unwrap(),
+            generated: Default::default(),
+        };
         let dir =
             std::env::temp_dir().join(format!("rumba-signed-fit-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = TrainedModelCache::with_dir(&dir);
         let cfg = OfflineConfig::default();
 
-        let fresh = train_app_with_cache(kernel.as_ref(), &cfg, &cache).unwrap();
+        let fresh = train_app_with_cache(&kernel, &cfg, &cache).unwrap();
         assert!(fresh.linear.signed_model().is_some());
         assert!(fresh.tree.signed_tree().is_some());
+        assert_eq!(kernel.generated.load(Ordering::Relaxed), 1, "a miss generates the split once");
 
-        // The cache-hit path refits the signed models deterministically.
-        let cached = train_app_with_cache(kernel.as_ref(), &cfg, &cache).unwrap();
-        let probe = kernel.generate(rumba_apps::Split::Test, 42);
+        // The cache-hit path loads the stored signed models: no train
+        // split, and estimates bit-identical to the fresh fit.
+        let cached = train_app_with_cache(&kernel, &cfg, &cache).unwrap();
+        assert_eq!(kernel.generated.load(Ordering::Relaxed), 1, "a hit generates no split");
+        assert_eq!(cached.linear, fresh.linear);
+        assert_eq!(cached.tree, fresh.tree);
+        let probe = kernel.inner.generate(rumba_apps::Split::Test, 42);
         for i in (0..probe.len()).step_by(97) {
             let input = probe.input(i);
             assert_eq!(
@@ -332,7 +365,7 @@ mod tests {
         }
         // The signed fit carries sign information the magnitude model
         // cannot: over the train split at least one estimate is negative.
-        let train = kernel.generate(rumba_apps::Split::Train, 42);
+        let train = kernel.inner.generate(rumba_apps::Split::Train, 42);
         let any_negative =
             (0..train.len()).any(|i| fresh.linear.estimate_signed(train.input(i), &[], 0.0) < 0.0);
         assert!(any_negative, "a signed fit must be able to go negative");

@@ -146,58 +146,9 @@ impl ModelZoo {
     /// empty rows, or mismatched `tier_errors`.
     #[must_use]
     pub fn calibrate_bar(&self, rows: &[&[f64]], tier_errors: &[Vec<f64>], budget: f64) -> f64 {
-        let n = rows.len();
-        if self.tiers.len() == 1
-            || n == 0
-            || tier_errors.len() != self.tiers.len()
-            || tier_errors.iter().any(|e| e.len() != n)
-        {
-            return budget;
-        }
-        let preds: Vec<Vec<f64>> = rows
-            .iter()
-            .map(|row| self.tiers.iter().map(|t| t.router.predict(row)).collect())
-            .collect();
-        let mut candidates: Vec<f64> =
-            preds.iter().flatten().copied().filter(|p| p.is_finite() && *p > 0.0).collect();
-        candidates.sort_by(f64::total_cmp);
-        candidates.dedup();
-        // The routed mean is evaluated on a quantile grid of the
-        // prediction set (the mean is not exactly monotone in the bar once
-        // true errors replace predictions, so every candidate is scored).
-        // A bar is feasible only when BOTH halves of the split fit the
-        // budget independently: the routers were fit on these same rows,
-        // so a bar whose budget only balances across the full split is a
-        // router-overfit artifact that will not survive unseen inputs.
-        const GRID: usize = 512;
-        let step = candidates.len().div_ceil(GRID).max(1);
-        let half = n / 2;
-        let mean_over = |bar: f64, range: std::ops::Range<usize>| -> f64 {
-            let len = range.len().max(1);
-            range
-                .map(|r| match preds[r].iter().position(|&p| p <= bar) {
-                    Some(t) => tier_errors[t][r],
-                    None => 0.0,
-                })
-                .sum::<f64>()
-                / len as f64
-        };
-        let fits = |bar: f64| -> bool {
-            mean_over(bar, 0..half) <= budget && mean_over(bar, half..n) <= budget
-        };
-        let mut best = 0.0f64;
-        for bar in candidates.iter().copied().step_by(step).chain(std::iter::once(budget)) {
-            if bar > best && fits(bar) {
-                best = bar;
-            }
-        }
-        // No feasible positive bar: an (effectively) all-CPU bar is always
-        // quality-safe.
-        if best > 0.0 {
-            best
-        } else {
-            f64::MIN_POSITIVE
-        }
+        let preds: Vec<f64> =
+            rows.iter().flat_map(|row| self.tiers.iter().map(|t| t.router.predict(row))).collect();
+        routed_bar(self.tiers.len(), &preds, tier_errors, budget)
     }
 
     /// [`ModelZoo::calibrate_bar`] with the per-tier train errors measured
@@ -223,6 +174,91 @@ impl ModelZoo {
             .map(|t| invocation_errors(kernel, &t.npu, train))
             .collect::<Result<_>>()?;
         Ok(self.calibrate_bar(&rows, &tier_errors, budget))
+    }
+}
+
+/// [`ModelZoo::calibrate_bar`] on router predictions `preds`, row-major
+/// `n × tiers`.
+///
+/// Candidate bars are a quantile grid of the finite positive predictions
+/// plus `budget` itself; the widest candidate whose routed mean error
+/// fits `budget` on both halves of the rows wins. The routed mean is not
+/// exactly monotone in the bar once true errors replace predictions, so
+/// every candidate is scored. A bar is feasible only when BOTH halves of
+/// the split fit the budget independently: the routers were fit on these
+/// same rows, so a bar whose budget only balances across the full split is
+/// a router-overfit artifact that will not survive unseen inputs.
+///
+/// A row's routed error is a step function of the bar: tier `t` serves it
+/// from the smallest bar at or above the lowest prediction among tiers
+/// `0..=t` until a cheaper tier takes over, and exact CPU (zero error)
+/// below every prediction. So each row finds its at most `tiers + 1`
+/// pieces of the sorted grid by binary search and adds its error to every
+/// candidate's sum, row by row: each candidate's sum sees exactly the
+/// additions, in the same order and from the same neutral element, that
+/// summing its routed errors over the half would.
+fn routed_bar(tiers: usize, preds: &[f64], tier_errors: &[Vec<f64>], budget: f64) -> f64 {
+    let n = preds.len() / tiers.max(1);
+    if tiers <= 1
+        || n == 0
+        || tier_errors.len() != tiers
+        || tier_errors.iter().any(|e| e.len() != n)
+    {
+        return budget;
+    }
+    let mut candidates: Vec<f64> =
+        preds.iter().copied().filter(|p| p.is_finite() && *p > 0.0).collect();
+    candidates.sort_by(f64::total_cmp);
+    candidates.dedup();
+    const GRID: usize = 512;
+    let step = candidates.len().div_ceil(GRID).max(1);
+    let grid: Vec<f64> = candidates.into_iter().step_by(step).collect();
+
+    // One sum per candidate and half; slot `grid.len()` scores `budget`,
+    // which need not lie on the sorted grid and is routed directly.
+    let half = n / 2;
+    let neutral = std::iter::empty::<f64>().sum::<f64>();
+    let mut sums = [vec![neutral; grid.len() + 1], vec![neutral; grid.len() + 1]];
+    for (r, p) in preds.chunks_exact(tiers).enumerate() {
+        let sums = &mut sums[usize::from(r >= half)];
+        let (on_grid, at_budget) = sums.split_at_mut(grid.len());
+        // `lowest` is the least non-NaN prediction of tiers `0..=t` (NaN
+        // while there is none): a bar routes to tier `t` or cheaper
+        // exactly when it is at or above it.
+        let mut lowest = f64::NAN;
+        let mut end = grid.len();
+        for (t, &pred) in p.iter().enumerate() {
+            lowest = lowest.min(pred);
+            let start = if lowest.is_nan() { end } else { grid.partition_point(|&g| g < lowest) };
+            let error = tier_errors[t][r];
+            for sum in &mut on_grid[start..end] {
+                *sum += error;
+            }
+            end = start;
+        }
+        // Bars below every prediction route to exact CPU, which adds a
+        // zero (not a no-op on a `-0.0` sum).
+        for sum in &mut on_grid[..end] {
+            *sum += 0.0;
+        }
+        at_budget[0] += p.iter().position(|&q| q <= budget).map_or(0.0, |t| tier_errors[t][r]);
+    }
+
+    let fits = |k: usize| {
+        sums[0][k] / half.max(1) as f64 <= budget && sums[1][k] / (n - half).max(1) as f64 <= budget
+    };
+    let mut best = 0.0f64;
+    for (k, &bar) in grid.iter().chain([&budget]).enumerate() {
+        if bar > best && fits(k) {
+            best = bar;
+        }
+    }
+    // No feasible positive bar: an (effectively) all-CPU bar is always
+    // quality-safe.
+    if best > 0.0 {
+        best
+    } else {
+        f64::MIN_POSITIVE
     }
 }
 
@@ -321,6 +357,7 @@ pub fn train_zoo_with_cache(
 mod tests {
     use super::*;
     use crate::trainer::train_app;
+    use proptest::prelude::*;
     use rumba_apps::kernel_by_name;
 
     fn gaussian_zoo(n: usize) -> (Box<dyn Kernel>, TrainedApp, ModelZoo) {
@@ -420,6 +457,181 @@ mod tests {
         assert_eq!(solo.calibrate_bar(&rows, &tier_errors[..1], 0.05), 0.05);
         assert_eq!(zoo.calibrate_bar(&[], &[], 0.05), 0.05);
         assert_eq!(zoo.calibrate_bar(&rows, &[], 0.05), 0.05);
+    }
+
+    /// The per-candidate calibration [`routed_bar`] replaced, kept as its
+    /// oracle: `preds[r][t]` is tier `t`'s router prediction on row `r`,
+    /// and every grid candidate rescans every row.
+    fn reference_bar(
+        tiers: usize,
+        preds: &[Vec<f64>],
+        tier_errors: &[Vec<f64>],
+        budget: f64,
+    ) -> f64 {
+        let n = preds.len();
+        if tiers == 1
+            || n == 0
+            || tier_errors.len() != tiers
+            || tier_errors.iter().any(|e| e.len() != n)
+        {
+            return budget;
+        }
+        let mut candidates: Vec<f64> =
+            preds.iter().flatten().copied().filter(|p| p.is_finite() && *p > 0.0).collect();
+        candidates.sort_by(f64::total_cmp);
+        candidates.dedup();
+        const GRID: usize = 512;
+        let step = candidates.len().div_ceil(GRID).max(1);
+        let half = n / 2;
+        let mean_over = |bar: f64, range: std::ops::Range<usize>| -> f64 {
+            let len = range.len().max(1);
+            range
+                .map(|r| match preds[r].iter().position(|&p| p <= bar) {
+                    Some(t) => tier_errors[t][r],
+                    None => 0.0,
+                })
+                .sum::<f64>()
+                / len as f64
+        };
+        let fits = |bar: f64| -> bool {
+            mean_over(bar, 0..half) <= budget && mean_over(bar, half..n) <= budget
+        };
+        let mut best = 0.0f64;
+        for bar in candidates.iter().copied().step_by(step).chain(std::iter::once(budget)) {
+            if bar > best && fits(bar) {
+                best = bar;
+            }
+        }
+        if best > 0.0 {
+            best
+        } else {
+            f64::MIN_POSITIVE
+        }
+    }
+
+    /// Random calibration inputs `(tiers, flat row-major predictions,
+    /// per-tier errors, budget)` of up to `max_rows` rows. Values are drawn
+    /// with ties, both zeros, negatives and every non-finite kind, and one
+    /// error list in eight has a row too many or too few.
+    struct BarInputs {
+        max_rows: usize,
+    }
+
+    fn awkward(rng: &mut rand::rngs::StdRng) -> f64 {
+        use rand::Rng;
+        const TIES: [f64; 6] = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5];
+        const ODD: [f64; 7] =
+            [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE, 1e300];
+        match rng.gen_range(0..9u32) {
+            0..=3 => TIES[rng.gen_range(0..TIES.len())],
+            4..=6 => rng.gen_range(0.0..0.3),
+            7 => -rng.gen_range(0.0..0.3),
+            _ => ODD[rng.gen_range(0..ODD.len())],
+        }
+    }
+
+    impl Strategy for BarInputs {
+        type Value = (usize, Vec<f64>, Vec<Vec<f64>>, f64);
+        fn generate(&self, rng: &mut rand::rngs::StdRng) -> Self::Value {
+            use rand::Rng;
+            let tiers = rng.gen_range(1..5usize);
+            let n = rng.gen_range(0..self.max_rows + 1);
+            let preds = (0..n * tiers).map(|_| awkward(rng)).collect();
+            let errors = (0..tiers)
+                .map(|_| {
+                    let len = if rng.gen_range(0..8u32) == 0 {
+                        n + 1 - rng.gen_range(0..3usize).min(n + 1)
+                    } else {
+                        n
+                    };
+                    (0..len).map(|_| awkward(rng)).collect()
+                })
+                .collect();
+            (tiers, preds, errors, awkward(rng))
+        }
+    }
+
+    fn same_bar(tiers: usize, preds: &[f64], tier_errors: &[Vec<f64>], budget: f64) {
+        let rows: Vec<Vec<f64>> = preds.chunks(tiers.max(1)).map(<[f64]>::to_vec).collect();
+        let want = reference_bar(tiers, &rows, tier_errors, budget);
+        let got = routed_bar(tiers, preds, tier_errors, budget);
+        assert_eq!(got.to_bits(), want.to_bits(), "routed {got} vs reference {want}");
+    }
+
+    proptest! {
+        #[test]
+        fn routed_bar_matches_the_per_candidate_reference(case in BarInputs { max_rows: 48 }) {
+            let (tiers, preds, tier_errors, budget) = case;
+            same_bar(tiers, &preds, &tier_errors, budget);
+        }
+
+        #[test]
+        fn routed_bar_matches_the_reference_on_a_subsampled_grid(
+            case in BarInputs { max_rows: 400 },
+        ) {
+            // Past 512 distinct positive predictions the grid keeps every
+            // `step`-th candidate.
+            let (tiers, preds, tier_errors, budget) = case;
+            same_bar(tiers, &preds, &tier_errors, budget.abs() % 0.2);
+        }
+    }
+
+    #[test]
+    fn routed_bar_matches_the_reference_on_hand_picked_shapes() {
+        let e = |v: &[f64]| v.to_vec();
+        // No tiers, a single tier, no rows, and mismatched error lists.
+        same_bar(0, &[], &[], 0.1);
+        same_bar(1, &[0.1, 0.2], &[e(&[0.1, 0.2])], 0.1);
+        same_bar(2, &[], &[e(&[]), e(&[])], 0.1);
+        same_bar(2, &[0.1, 0.2], &[e(&[0.1])], 0.1);
+        same_bar(2, &[0.1, 0.2], &[e(&[0.1]), e(&[0.1, 0.2])], 0.1);
+        // All-tied predictions, all-NaN predictions, and a row whose
+        // cheap tier is NaN and whose full tier is -inf.
+        same_bar(2, &[0.1; 8], &[e(&[0.05; 4]), e(&[0.01; 4])], 0.06);
+        same_bar(2, &[f64::NAN; 8], &[e(&[0.05; 4]), e(&[0.01; 4])], 0.06);
+        same_bar(
+            2,
+            &[f64::NAN, f64::NEG_INFINITY, 0.2, 0.1],
+            &[e(&[0.3, 0.2]), e(&[0.1, 0.0])],
+            0.1,
+        );
+        // One row: the first half is empty.
+        same_bar(3, &[0.3, 0.2, 0.1], &[e(&[0.2]), e(&[0.1]), e(&[0.05])], 0.1);
+        // Negative and -0.0 errors, and budgets of every kind.
+        for budget in [0.0, -0.0, -0.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e-300] {
+            same_bar(2, &[0.1, 0.2, 0.3, 0.05], &[e(&[-0.0, -0.1]), e(&[0.0, 0.2])], budget);
+        }
+    }
+
+    #[test]
+    fn every_kernels_three_tier_bar_matches_the_reference() {
+        let cfg = OfflineConfig::default();
+        for kernel in rumba_apps::all_kernels() {
+            let kernel = kernel.as_ref();
+            let app = train_app(kernel, &cfg).unwrap();
+            let zoo = train_zoo(kernel, &app, &cfg, 3).unwrap();
+            let train = kernel.generate(rumba_apps::Split::Train, cfg.seed);
+            let rows: Vec<&[f64]> = (0..train.len()).map(|i| train.input(i)).collect();
+            let tier_errors: Vec<Vec<f64>> = zoo
+                .tiers()
+                .iter()
+                .map(|t| invocation_errors(kernel, &t.npu, &train).unwrap())
+                .collect();
+            let preds: Vec<Vec<f64>> = rows
+                .iter()
+                .map(|row| zoo.tiers().iter().map(|t| t.router.predict(row)).collect())
+                .collect();
+            // The top tier is the app's accelerator on the same split, so
+            // its errors are the app's train errors (sessions reuse them).
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(zoo.tier(zoo.len() - 1).npu, app.rumba_npu, "{}", kernel.name());
+            assert_eq!(bits(&tier_errors[zoo.len() - 1]), bits(&app.train_errors));
+            for budget in [0.01, 0.09, 0.2] {
+                let want = reference_bar(zoo.len(), &preds, &tier_errors, budget);
+                let got = zoo.calibrate_bar(&rows, &tier_errors, budget);
+                assert_eq!(got.to_bits(), want.to_bits(), "{} at budget {budget}", kernel.name());
+            }
+        }
     }
 
     #[test]

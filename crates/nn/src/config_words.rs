@@ -22,6 +22,7 @@
 
 use rumba_obs::words::{push_f64s, read_all, WordReader};
 
+use crate::mlp::param_count;
 use crate::{Activation, Mlp, Normalizer, TrainedModel};
 
 /// Magic word marking the start of a model config stream.
@@ -104,19 +105,12 @@ pub fn decode_model(words: &[u64]) -> Result<TrainedModel, String> {
         let params = param_count(&topo)
             .filter(|&n| n <= r.remaining())
             .ok_or_else(|| format!("model.params: {topo:?} wants more than the stream holds"))?;
-        let mut mlp = Mlp::new(&topo, hidden_act, 0).map_err(|e| format!("model.topology: {e}"))?;
-        mlp.set_flat_params(&r.f64s("model.params", params)?)
-            .map_err(|e| format!("model.params: {e}"))?;
+        let mlp = Mlp::from_flat_params(&topo, hidden_act, &r.f64s("model.params", params)?)
+            .map_err(|e| format!("model.topology: {e}"))?;
         let input_norm = read_normalizer(r, input_dim)?;
         let output_norm = read_normalizer(r, output_dim)?;
         Ok(TrainedModel::from_parts(mlp, input_norm, output_norm))
     })
-}
-
-/// Weights plus biases of a dense network, `None` on overflow.
-fn param_count(topo: &[usize]) -> Option<usize> {
-    topo.windows(2)
-        .try_fold(0usize, |acc, w| w[0].checked_mul(w[1])?.checked_add(w[1])?.checked_add(acc))
 }
 
 fn read_normalizer(r: &mut WordReader, dim: usize) -> Result<Normalizer, String> {

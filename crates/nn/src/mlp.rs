@@ -11,6 +11,14 @@ use crate::{Activation, Matrix, MatrixView, NnError, Result, Scratch};
 const ROW_BLOCK: usize = 32;
 const COL_BLOCK: usize = 16;
 
+/// Weights plus biases of a dense network with these layer sizes, `None`
+/// on overflow.
+pub(crate) fn param_count(layers: &[usize]) -> Option<usize> {
+    layers
+        .windows(2)
+        .try_fold(0usize, |acc, w| w[0].checked_mul(w[1])?.checked_add(w[1])?.checked_add(acc))
+}
+
 /// One dense layer: `outputs = act(W * inputs + b)` with `W` stored row-major
 /// (`out_dim × in_dim`).
 #[derive(Debug, Clone, PartialEq)]
@@ -312,6 +320,56 @@ impl Mlp {
             let act = if is_output { Activation::Identity } else { hidden_act };
             built.push(Layer::new(w[0], w[1], act, &mut rng));
         }
+        Ok(Self { layers: built, topology: layers.to_vec() })
+    }
+
+    /// Builds a network with the given layer sizes directly from
+    /// [`Mlp::to_flat_params`] output — what [`Mlp::new`] followed by
+    /// [`Mlp::set_flat_params`] produces, without drawing initial weights
+    /// that are overwritten at once (the config-stream decoder's
+    /// constructor).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidTopology`] as [`Mlp::new`] does, and
+    /// [`NnError::DimensionMismatch`] if `flat` has the wrong length for
+    /// the topology.
+    pub fn from_flat_params(
+        layers: &[usize],
+        hidden_act: Activation,
+        flat: &[f64],
+    ) -> Result<Self> {
+        if layers.len() < 2 || layers.contains(&0) {
+            return Err(NnError::InvalidTopology { layers: layers.to_vec() });
+        }
+        let expected = param_count(layers);
+        if expected != Some(flat.len()) {
+            return Err(NnError::DimensionMismatch {
+                expected: expected.unwrap_or(usize::MAX),
+                actual: flat.len(),
+                port: "flat parameter vector",
+            });
+        }
+        let mut rest = flat;
+        let built = layers
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| {
+                let (in_dim, out_dim) = (w[0], w[1]);
+                let activation =
+                    if i == layers.len() - 2 { Activation::Identity } else { hidden_act };
+                let (weights, tail) = rest.split_at(in_dim * out_dim);
+                let (biases, tail) = tail.split_at(out_dim);
+                rest = tail;
+                Layer {
+                    in_dim,
+                    out_dim,
+                    weights: weights.to_vec(),
+                    biases: biases.to_vec(),
+                    activation,
+                }
+            })
+            .collect();
         Ok(Self { layers: built, topology: layers.to_vec() })
     }
 
@@ -652,6 +710,30 @@ mod tests {
         assert_eq!(a, b);
         let c = Mlp::new(&[2, 4, 1], Activation::Sigmoid, 10).unwrap();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn from_flat_params_matches_new_then_set_flat_params() {
+        for (topo, act) in [
+            (&[2, 4, 1][..], Activation::Sigmoid),
+            (&[3, 8, 8, 2][..], Activation::Tanh),
+            (&[1, 1][..], Activation::Identity),
+        ] {
+            let trained = Mlp::new(topo, act, 7).unwrap();
+            let flat: Vec<f64> =
+                trained.to_flat_params().iter().enumerate().map(|(i, w)| w + i as f64).collect();
+            let mut expected = Mlp::new(topo, act, 0).unwrap();
+            expected.set_flat_params(&flat).unwrap();
+            let built = Mlp::from_flat_params(topo, act, &flat).unwrap();
+            assert_eq!(built, expected, "{topo:?}");
+            assert_eq!(built.to_flat_params(), flat);
+        }
+        assert!(Mlp::from_flat_params(&[2, 0, 1], Activation::Sigmoid, &[]).is_err());
+        assert!(Mlp::from_flat_params(&[2], Activation::Sigmoid, &[]).is_err());
+        // [2, 4, 1] takes 2*4 + 4 + 4 + 1 = 17 parameters.
+        assert!(Mlp::from_flat_params(&[2, 4, 1], Activation::Sigmoid, &[0.0; 16]).is_err());
+        assert!(Mlp::from_flat_params(&[2, 4, 1], Activation::Sigmoid, &[0.0; 18]).is_err());
+        assert!(Mlp::from_flat_params(&[usize::MAX, 2, 1], Activation::Sigmoid, &[]).is_err());
     }
 
     #[test]

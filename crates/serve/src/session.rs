@@ -354,8 +354,9 @@ impl Session {
     pub fn open(name: &str, config: SessionConfig) -> Result<Self, ServeError> {
         let kernel = Self::checked_kernel(&config)?;
         let app = train_app(kernel.as_ref(), &offline_config(&config))?;
-        let threshold = calibrate(&app, config.checker, kernel.as_ref(), config.seed, config.mode)?;
-        let session = Self::assemble(name, config, &app, threshold)?;
+        let calibration = Calibration::run(&app, &config, kernel.as_ref())?;
+        let threshold = calibration.threshold;
+        let session = Self::assemble(name, config, kernel, &app, threshold, Some(calibration))?;
         session.emit_session_event("open");
         Ok(session)
     }
@@ -383,8 +384,9 @@ impl Session {
         let app = train_app(kernel.as_ref(), &offline_config(&config))?;
         // The placeholder threshold never fires: `import_state` rebuilds
         // the tuner at the snapshotted threshold (and the calibration
-        // anchor), so the calibration probe is skipped entirely.
-        let mut session = Self::assemble(name, config, &app, 1.0)?;
+        // anchor), so the calibration probe is skipped unless a zoo's
+        // bars need it.
+        let mut session = Self::assemble(name, config, kernel, &app, 1.0, None)?;
         session.system.import_state(state.runtime).map_err(malformed)?;
         session.stats = state.stats;
         session.pending_inputs.extend(state.inputs.iter().map(|&w| f64::from_bits(w)));
@@ -426,14 +428,16 @@ impl Session {
     /// Shared construction path of [`Session::open`] and
     /// [`Session::restore`]: assembles the pipeline for a validated
     /// configuration around an already-trained app at the given threshold.
+    /// A zoo's bars reuse `calibration` when the caller already ran it
+    /// and run it here otherwise.
     fn assemble(
         name: &str,
         config: SessionConfig,
+        kernel: Box<dyn Kernel>,
         app: &TrainedApp,
         threshold: f64,
+        calibration: Option<Calibration>,
     ) -> Result<Self, ServeError> {
-        let kernel = kernel_by_name(&config.kernel)
-            .ok_or_else(|| ServeError::UnknownKernel(config.kernel.clone()))?;
         let checker = build_checker(config.checker, app, kernel.as_ref())?;
         let runtime = RuntimeConfig {
             window: config.window,
@@ -455,15 +459,26 @@ impl Session {
             // The bar base is calibrated on the train split under the same
             // mean-error contract as the firing threshold (a raw 1 - toq
             // per-invocation cut would over-route to exact CPU).
-            let train = kernel.generate(Split::Train, config.seed);
+            let Calibration { train, predicted, threshold: fire_threshold } = match calibration {
+                Some(calibration) => calibration,
+                None => Calibration::run(app, &config, kernel.as_ref())?,
+            };
             // A tenth of the budget is held back as generalization margin
             // (the tiers and routers were fit on this same split).
             let budget = 0.9 * quality_budget(config.mode);
             let rows: Vec<&[f64]> = (0..train.len()).map(|i| train.input(i)).collect();
+            // The top tier is the app's own accelerator, whose errors on
+            // this split the app already carries.
             let mut tier_errors: Vec<Vec<f64>> = zoo
                 .tiers()
                 .iter()
-                .map(|t| invocation_errors(kernel.as_ref(), &t.npu, &train))
+                .map(|t| {
+                    if t.npu == app.rumba_npu {
+                        Ok(app.train_errors.clone())
+                    } else {
+                        invocation_errors(kernel.as_ref(), &t.npu, &train)
+                    }
+                })
                 .collect::<Result<_, _>>()?;
             let bar = zoo.calibrate_bar(&rows, &tier_errors, budget);
             // Queue-pressure degradation may widen the bar only as far as
@@ -474,9 +489,6 @@ impl Session {
             // calibration-time threshold — a pure function of the config,
             // not the tuner's adaptive state — so `restore` rebuilds the
             // identical ceiling.
-            let predicted = probe_predictions(app, config.checker, kernel.as_ref(), &train)?;
-            let fire_threshold =
-                calibrate_threshold(&predicted, &app.train_errors, quality_budget(config.mode));
             for errors in &mut tier_errors {
                 for (e, p) in errors.iter_mut().zip(&predicted) {
                     if *p > fire_threshold {
@@ -876,36 +888,35 @@ fn build_checker(
     })
 }
 
-/// Probes a fresh checker of `kind` over the train split's accelerator
-/// outputs, returning the per-invocation error predictions the threshold
-/// (and the zoo's degradation ceiling) are calibrated against. Pure in
-/// the app and config, so `open` and `restore` reproduce it bit-for-bit.
-fn probe_predictions(
-    app: &TrainedApp,
-    kind: CheckerKind,
-    kernel: &dyn Kernel,
-    train: &NnDataset,
-) -> Result<Vec<f64>, ServeError> {
-    let mut probe = build_checker(kind, app, kernel)?;
-    let mut scratch = Scratch::new();
-    let mut approx = Matrix::default();
-    app.rumba_npu.invoke_batch(train.inputs_view(), &mut scratch, &mut approx)?;
-    Ok((0..train.len()).map(|i| probe.estimate(train.input(i), approx.row(i))).collect())
+/// One pass over the train split: the split itself, a fresh checker's
+/// per-invocation error predictions over the accelerator's outputs on it,
+/// and the firing threshold whose rate meets the mode's error target on
+/// the training errors (identical to `rumba run`). Pure in the app and
+/// config, so `open` and `restore` reproduce it bit-for-bit; the zoo's
+/// bars are calibrated on the same split and predictions.
+struct Calibration {
+    train: NnDataset,
+    predicted: Vec<f64>,
+    threshold: f64,
 }
 
-/// Threshold calibration, identical to `rumba run`: probe the checker over
-/// the train split's accelerator outputs, then pick the threshold whose
-/// firing rate meets the mode's error target on the training errors.
-fn calibrate(
-    app: &TrainedApp,
-    kind: CheckerKind,
-    kernel: &dyn Kernel,
-    seed: u64,
-    mode: TuningMode,
-) -> Result<f64, ServeError> {
-    let train = kernel.generate(Split::Train, seed);
-    let predicted = probe_predictions(app, kind, kernel, &train)?;
-    Ok(calibrate_threshold(&predicted, &app.train_errors, quality_budget(mode)))
+impl Calibration {
+    fn run(
+        app: &TrainedApp,
+        config: &SessionConfig,
+        kernel: &dyn Kernel,
+    ) -> Result<Self, ServeError> {
+        let train = kernel.generate(Split::Train, config.seed);
+        let mut probe = build_checker(config.checker, app, kernel)?;
+        let mut scratch = Scratch::new();
+        let mut approx = Matrix::default();
+        app.rumba_npu.invoke_batch(train.inputs_view(), &mut scratch, &mut approx)?;
+        let predicted: Vec<f64> =
+            (0..train.len()).map(|i| probe.estimate(train.input(i), approx.row(i))).collect();
+        let threshold =
+            calibrate_threshold(&predicted, &app.train_errors, quality_budget(config.mode));
+        Ok(Self { train, predicted, threshold })
+    }
 }
 
 /// The session's mean-error budget: the threshold calibration target,
@@ -915,5 +926,56 @@ fn quality_budget(mode: TuningMode) -> f64 {
     match mode {
         TuningMode::TargetQuality { toq } => 1.0 - toq,
         _ => 0.10,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A zoo session's routing bar and pressure ceiling, recomputed the
+    /// long way: every tier replayed over a freshly generated split and
+    /// the checker probed again. `open` and `restore` must land on the
+    /// same bits while reusing one calibration pass and the app's own
+    /// train errors for the top tier.
+    #[test]
+    fn zoo_bars_match_a_recomputation_from_fresh_replays() {
+        for name in ["gaussian", "fft"] {
+            let config = SessionConfig { kernel: name.to_owned(), zoo: 3, ..Default::default() };
+            let kernel = kernel_by_name(name).unwrap();
+            let offline = offline_config(&config);
+            let app = train_app(kernel.as_ref(), &offline).unwrap();
+            let zoo = train_zoo(kernel.as_ref(), &app, &offline, config.zoo).unwrap();
+            let train = kernel.generate(Split::Train, config.seed);
+            let rows: Vec<&[f64]> = (0..train.len()).map(|i| train.input(i)).collect();
+            let mut tier_errors: Vec<Vec<f64>> = zoo
+                .tiers()
+                .iter()
+                .map(|t| invocation_errors(kernel.as_ref(), &t.npu, &train).unwrap())
+                .collect();
+            let budget = 0.9 * quality_budget(config.mode);
+            let bar = zoo.calibrate_bar(&rows, &tier_errors, budget);
+            let Calibration { predicted, threshold, .. } =
+                Calibration::run(&app, &config, kernel.as_ref()).unwrap();
+            for errors in &mut tier_errors {
+                for (e, p) in errors.iter_mut().zip(&predicted) {
+                    if *p > threshold {
+                        *e = 0.0;
+                    }
+                }
+            }
+            let ceiling = zoo.calibrate_bar(&rows, &tier_errors, budget).max(bar);
+
+            let opened = Session::open("a", config.clone()).unwrap();
+            let restored = Session::restore("b", &opened.snapshot()).unwrap();
+            for mut session in [opened, restored] {
+                let scale = session.system.tuner().tier_scale().unwrap_or(1.0);
+                let bits = |s: &Session| s.system.routing_bar().unwrap().to_bits();
+                assert_eq!(bits(&session), (bar * scale).to_bits(), "{name} base bar");
+                session.system.set_zoo_pressure(MAX_ZOO_PRESSURE);
+                let widest = (bar * f64::from(1u32 << MAX_ZOO_PRESSURE)).min(ceiling) * scale;
+                assert_eq!(bits(&session), widest.to_bits(), "{name} pressured bar");
+            }
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! Mutation property over real trained-model cache entries. Every open
 //! and restore decodes a cache file, and a malformed file must read as a
-//! miss: each edit of a real app entry and a real three-tier zoo entry —
-//! truncation at any line, any single hex-digit flip, a count word or a
-//! section's declared count set to 0, 1e9 or `u64::MAX` bits — either
-//! loads as `None` or loads models that store back to the edited text
-//! byte for byte. An accepted entry must then serve one checker estimate
+//! miss: each edit of a real app entry (its signed-error companions
+//! included) and a real three-tier zoo entry — truncation at any line,
+//! any single hex-digit flip, a count word or a section's declared count
+//! set to 0, 1e9 or `u64::MAX` bits — either loads as `None` or loads
+//! models that store back to the edited text byte for byte. An accepted
+//! entry must then serve one estimate from every checker and companion
 //! and one accelerator prediction on a kernel row without panicking.
 //! The suite runs in a debug build (overflow checks on) and again in
 //! release, where a missing bound would decode silently.
@@ -76,6 +77,8 @@ impl Entry {
                 tree: app.tree.clone(),
                 evp: app.evp.clone(),
                 train_errors: app.train_errors.clone(),
+                signed_linear: app.linear.signed_model().unwrap().clone(),
+                signed_tree: app.tree.signed_tree().unwrap().clone(),
             };
             let zoo = train_zoo(&*k, &app, &cfg(), TIERS).unwrap();
             let scratch = scratch_cache("base");
@@ -121,6 +124,8 @@ impl Entry {
                 let _ = models.linear.estimate(row, &approx);
                 let _ = models.tree.estimate(row, &approx);
                 let _ = models.evp.estimate(row, &approx);
+                let _ = models.signed_linear.predict(row);
+                let _ = models.signed_tree.predict(row);
                 cache.store(KERNEL, (&rumba, &npu), &cfg(), &nn, &models);
             }
             Entry::Zoo => {
@@ -156,18 +161,20 @@ fn count_indices(name: &str, words: &[u64]) -> Vec<usize> {
     if name.ends_with("model") || name.starts_with("zoo_model_") {
         // [magic, input_dim, output_dim, n_layers, sizes...]
         at.extend(1..4 + f(3));
-    } else if name == "linear" || name == "tree" || name == "evp" {
-        at.push(1);
-        if name == "tree" {
-            // Each split's feature index is a count too.
-            let mut pos = 2;
-            while pos < words.len() {
-                if f(pos) == 1 {
-                    at.push(pos + 1);
-                }
-                pos += 2 + f(pos);
+    } else if name == "tree" || name == "signed_tree" {
+        // [magic,] n_nodes, nodes...: each split's feature index is a
+        // count too.
+        let mut pos = usize::from(name == "tree");
+        at.push(pos);
+        pos += 1;
+        while pos < words.len() {
+            if f(pos) == 1 {
+                at.push(pos + 1);
             }
+            pos += 2 + f(pos);
         }
+    } else if name == "linear" || name == "evp" {
+        at.push(1);
         if name == "evp" {
             let mut pos = 3;
             while pos < words.len() {
@@ -175,7 +182,7 @@ fn count_indices(name: &str, words: &[u64]) -> Vec<usize> {
                 pos += f(pos) + 2;
             }
         }
-    } else if name == "zoo_spec" || name.starts_with("zoo_router_") {
+    } else if name == "zoo_spec" || name.starts_with("zoo_router_") || name == "signed_linear" {
         at.push(0);
     }
     at
@@ -239,9 +246,24 @@ fn count_overwrites(entry: Entry) -> Vec<String> {
 
 /// A single hex-digit flip of the `pick`-th body word of `entry`.
 fn flipped(entry: Entry, pick: usize, digit: usize, nibble: u64) -> String {
+    flipped_in(entry, |_| true, pick, digit, nibble)
+}
+
+/// A single hex-digit flip of the `pick`-th body word among the sections
+/// of `entry` that `name` accepts.
+fn flipped_in(
+    entry: Entry,
+    name: impl Fn(&str) -> bool,
+    pick: usize,
+    digit: usize,
+    nibble: u64,
+) -> String {
     let lines: Vec<&str> = entry.base().lines().collect();
-    let all: Vec<(usize, usize)> =
-        word_positions(&lines).into_iter().flat_map(|(_, positions)| positions).collect();
+    let all: Vec<(usize, usize)> = word_positions(&lines)
+        .into_iter()
+        .filter(|(n, _)| name(n))
+        .flat_map(|(_, positions)| positions)
+        .collect();
     let (line, token) = all[pick % all.len()];
     let old = u64::from_str_radix(lines[line].split(' ').nth(token).unwrap(), 16).unwrap();
     replace_token(&lines, line, token, &format!("{:016x}", old ^ (nibble << (4 * digit))))
@@ -288,11 +310,19 @@ fn every_truncation_and_count_overwrite_of_a_zoo_entry_misses_or_round_trips() {
 fn a_root_split_beyond_the_input_width_reads_as_a_miss() {
     let entry = Entry::App;
     let lines: Vec<&str> = entry.base().lines().collect();
-    let (_, tree) = word_positions(&lines).into_iter().find(|(n, _)| n == "tree").unwrap();
-    assert_eq!(section_words(&lines, &tree)[2], 1f64.to_bits(), "the root is a split");
-    let (line, token) = tree[3];
-    let mutant = replace_token(&lines, line, token, &format!("{:016x}", 99f64.to_bits()));
-    assert!(!check(entry, &scratch_cache("feature"), &mutant));
+    let width = kernel().input_dim() as f64;
+    // The checker tree's root sits after its magic and node count, the
+    // signed companion's after its node count alone.
+    for (name, root) in [("tree", 2), ("signed_tree", 1)] {
+        let (_, tree) = word_positions(&lines).into_iter().find(|(n, _)| n == name).unwrap();
+        assert_eq!(section_words(&lines, &tree)[root], 1f64.to_bits(), "{name}'s root is a split");
+        let (line, token) = tree[root + 1];
+        for feature in [width, width + 1.0, 99.0] {
+            let word = format!("{:016x}", feature.to_bits());
+            let mutant = replace_token(&lines, line, token, &word);
+            assert!(!check(entry, &scratch_cache("feature"), &mutant), "{name} feature {feature}");
+        }
+    }
 }
 
 /// `text` with section `name`'s words replaced by `words`, written the
@@ -354,6 +384,11 @@ fn streams_that_crashed_a_decoder_read_as_misses() {
         chain.extend([f(0.0), f(0.25)]);
     }
     assert!(!check(Entry::App, &cache, &with_section(base, "tree", &chain)));
+    assert!(!check(Entry::App, &cache, &with_section(base, "signed_tree", &chain[1..])));
+    // A signed linear fit declaring 1e9 weights.
+    let mut linear = words("signed_linear");
+    linear[0] = f(1e9);
+    assert!(!check(Entry::App, &cache, &with_section(base, "signed_linear", &linear)));
 }
 
 proptest! {
@@ -362,6 +397,15 @@ proptest! {
         pick in 0usize..100_000, digit in 0usize..16, nibble in 1u64..16,
     ) {
         check(Entry::App, &scratch_cache("app-flip"), &flipped(Entry::App, pick, digit, nibble));
+    }
+
+    #[test]
+    fn signed_companion_digit_flips_miss_or_round_trip(
+        pick in 0usize..100_000, digit in 0usize..16, nibble in 1u64..16,
+    ) {
+        let signed = |name: &str| name.starts_with("signed_");
+        let mutant = flipped_in(Entry::App, signed, pick, digit, nibble);
+        check(Entry::App, &scratch_cache("signed-flip"), &mutant);
     }
 
     #[test]
