@@ -1365,4 +1365,240 @@ mod tests {
         assert!(e.to_string().contains("--checker"));
         assert!(e.to_string().contains("magic"));
     }
+
+    // The flag grammar as a table: every subcommand against the union of
+    // all flags. `purity` and `list` ignore whatever follows them, so
+    // they have no row here.
+
+    /// Every subcommand that takes flags, with the operand it needs first.
+    const SUBCOMMANDS: [&str; 9] = [
+        "report m.jsonl",
+        "train fft",
+        "run fft",
+        "faults",
+        "compensate",
+        "zoo",
+        "drift",
+        "serve",
+        "bench-serve",
+    ];
+
+    /// Every flag with a valid sample value (`None` for a switch).
+    const FLAGS: [(&str, Option<&str>); 17] = [
+        ("--seed", Some("3")),
+        ("--kernels", Some("fft,sobel")),
+        ("--toq", Some("0.5")),
+        ("--budget", Some("4")),
+        ("--quality-mode", None),
+        ("--window", Some("8")),
+        ("--tiers", Some("2")),
+        ("--rate", Some("0.5")),
+        ("--shards", Some("2")),
+        ("--tenants", Some("2")),
+        ("--requests", Some("5")),
+        ("--checker", Some("ema")),
+        ("--socket", Some("r.sock")),
+        ("--tcp", Some("127.0.0.1:7077")),
+        ("--threads", Some("2")),
+        ("--simd", Some("1")),
+        ("--metrics-out", Some("m.jsonl")),
+    ];
+
+    /// The flags `cmd` accepts; any other flag is an `UnknownFlag`.
+    fn accepts(cmd: &str) -> &'static [&'static str] {
+        match cmd.split(' ').next().unwrap() {
+            "report" => &[],
+            "train" => &["--seed", "--threads", "--simd", "--metrics-out"],
+            "run" => &[
+                "--seed",
+                "--checker",
+                "--toq",
+                "--budget",
+                "--quality-mode",
+                "--window",
+                "--threads",
+                "--simd",
+                "--metrics-out",
+            ],
+            "faults" => &[
+                "--kernels",
+                "--seed",
+                "--rate",
+                "--window",
+                "--threads",
+                "--simd",
+                "--metrics-out",
+            ],
+            "compensate" => {
+                &["--kernels", "--seed", "--toq", "--threads", "--simd", "--metrics-out"]
+            }
+            "zoo" => {
+                &["--kernels", "--seed", "--toq", "--tiers", "--threads", "--simd", "--metrics-out"]
+            }
+            "drift" => &["--kernels", "--seed", "--window", "--threads", "--simd", "--metrics-out"],
+            "serve" => &["--socket", "--tcp", "--shards", "--threads", "--simd"],
+            "bench-serve" => {
+                &["--seed", "--tenants", "--requests", "--shards", "--threads", "--simd"]
+            }
+            other => panic!("no spec row for {other}"),
+        }
+    }
+
+    /// Parses `cmd` (split on spaces) followed by `tail` (taken verbatim,
+    /// so a value may be blank).
+    fn with(cmd: &str, tail: &[&str]) -> Result<Command, ParseError> {
+        let args: Vec<String> =
+            cmd.split_whitespace().chain(tail.iter().copied()).map(str::to_owned).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn spec_every_subcommand_accepts_exactly_its_flags() {
+        for cmd in SUBCOMMANDS {
+            for (flag, sample) in FLAGS {
+                let tail: Vec<&str> = std::iter::once(flag).chain(sample).collect();
+                let got = with(cmd, &tail);
+                if accepts(cmd).contains(&flag) {
+                    assert!(got.is_ok(), "{cmd} {tail:?}: {got:?}");
+                } else {
+                    assert_eq!(got, Err(ParseError::UnknownFlag(flag.into())), "{cmd} {tail:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spec_a_value_flag_ending_the_line_is_missing_its_value() {
+        for cmd in SUBCOMMANDS {
+            for (flag, sample) in FLAGS {
+                let got = with(cmd, &[flag]);
+                let want = if !accepts(cmd).contains(&flag) {
+                    Err(ParseError::UnknownFlag(flag.into()))
+                } else if sample.is_some() {
+                    Err(ParseError::MissingValue(flag))
+                } else {
+                    continue; // a switch needs no value
+                };
+                assert_eq!(got.map(|_| ()), want, "{cmd} {flag}");
+            }
+        }
+    }
+
+    #[test]
+    fn spec_bad_values_display_exactly() {
+        let quality = "expected a quality in (0, 1]";
+        let cases: [(&str, &str, String); 30] = [
+            ("--toq", "1.5", format!("--toq got '1.5', {quality}")),
+            ("--toq", "1.50", format!("--toq got '1.5', {quality}")),
+            ("--toq", "0", format!("--toq got '0', {quality}")),
+            ("--toq", "NaN", format!("--toq got 'NaN', {quality}")),
+            ("--toq", "abc", "--toq got 'abc', expected a number".into()),
+            ("--rate", "0", "--rate got '0', expected an injection rate in (0, 1]".into()),
+            ("--rate", "2e0", "--rate got '2', expected an injection rate in (0, 1]".into()),
+            ("--rate", "x", "--rate got 'x', expected a number".into()),
+            ("--window", "0", "--window got '0', expected a positive window length".into()),
+            ("--window", "00", "--window got '0', expected a positive window length".into()),
+            ("--window", "-1", "--window got '-1', expected an unsigned integer".into()),
+            ("--tiers", "9", "--tiers got '9', expected a ladder size in 1..=8".into()),
+            ("--tiers", "09", "--tiers got '9', expected a ladder size in 1..=8".into()),
+            ("--tiers", "0", "--tiers got '0', expected a ladder size in 1..=8".into()),
+            ("--shards", "0", "--shards got '0', expected a positive shard count".into()),
+            ("--shards", "00", "--shards got '0', expected a positive shard count".into()),
+            ("--threads", "0", "--threads got '0', expected a positive worker-thread count".into()),
+            ("--threads", "two", "--threads got 'two', expected an unsigned integer".into()),
+            ("--tenants", "0", "--tenants got '0', expected a positive tenant count".into()),
+            ("--requests", "0", "--requests got '0', expected a positive request count".into()),
+            ("--seed", "x", "--seed got 'x', expected an unsigned integer".into()),
+            ("--budget", "-3", "--budget got '-3', expected an unsigned integer".into()),
+            ("--simd", "x", "--simd got 'x', expected 0|1|auto".into()),
+            (
+                "--checker",
+                "magic",
+                "--checker got 'magic', expected linear|tree|ema|evp|table|ensemble".into(),
+            ),
+            ("--metrics-out", " ", "--metrics-out got ' ', expected a file path".into()),
+            ("--socket", " ", "--socket got ' ', expected a file path".into()),
+            ("--tcp", "", "--tcp got '', expected a file path".into()),
+            (
+                "--kernels",
+                ",",
+                "--kernels got ',', expected a comma-separated benchmark list".into(),
+            ),
+            (
+                "--kernels",
+                ",,",
+                "--kernels got ',,', expected a comma-separated benchmark list".into(),
+            ),
+            ("--seed", "--toq", "--seed got '--toq', expected an unsigned integer".into()),
+        ];
+        for (flag, value, want) in &cases {
+            let takers: Vec<&str> =
+                SUBCOMMANDS.into_iter().filter(|cmd| accepts(cmd).contains(flag)).collect();
+            assert!(!takers.is_empty(), "{flag} is accepted nowhere");
+            for cmd in takers {
+                let got = with(cmd, &[flag, value]).unwrap_err();
+                assert!(matches!(got, ParseError::BadValue { .. }), "{cmd} {flag} {value:?}");
+                assert_eq!(got.to_string(), *want, "{cmd} {flag} {value:?}");
+            }
+        }
+    }
+
+    /// The seed a parsed command runs at, if it takes one.
+    fn seed_of(cmd: &Command) -> Option<u64> {
+        match cmd {
+            Command::Train { seed, .. }
+            | Command::Run { seed, .. }
+            | Command::Faults { seed, .. }
+            | Command::Compensate { seed, .. }
+            | Command::Zoo { seed, .. }
+            | Command::Drift { seed, .. }
+            | Command::BenchServe { seed, .. } => Some(*seed),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn spec_a_repeated_flag_keeps_its_last_value() {
+        for cmd in SUBCOMMANDS.into_iter().filter(|cmd| accepts(cmd).contains(&"--seed")) {
+            let got = with(cmd, &["--seed", "3", "--seed", "11"]).unwrap();
+            assert_eq!(seed_of(&got), Some(11), "{cmd}");
+        }
+        let mode = |tail: &str| match p(&format!("run fft {tail}")).unwrap() {
+            Command::Run { mode, .. } => mode,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(mode("--toq 0.5 --budget 3 --quality-mode"), ModeChoice::Quality);
+        assert_eq!(mode("--quality-mode --toq 0.5 --budget 3"), ModeChoice::Energy(3));
+        assert_eq!(mode("--budget 3 --quality-mode --toq 0.5"), ModeChoice::Toq(0.5));
+        assert_eq!(mode("--toq 0.5 --toq 0.7"), ModeChoice::Toq(0.7));
+        assert!(matches!(
+            p("zoo --toq 0.5 --toq 0.7 --kernels fft --kernels sobel,jpeg").unwrap(),
+            Command::Zoo { toq, kernels, .. } if toq == 0.7 && kernels == ["sobel", "jpeg"]
+        ));
+    }
+
+    #[test]
+    fn spec_the_first_error_in_argument_order_wins() {
+        let err = |line: &str| p(line).unwrap_err().to_string();
+        assert_eq!(err("run fft --toq 2 --wat"), "--toq got '2', expected a quality in (0, 1]");
+        assert_eq!(err("run fft --wat --toq 2"), "unrecognized argument '--wat'");
+        assert_eq!(
+            err("serve --metrics-out m --shards 0"),
+            "unrecognized argument '--metrics-out'"
+        );
+        assert_eq!(err("zoo --tiers 0 --seed"), "--tiers got '0', expected a ladder size in 1..=8");
+        assert_eq!(err("bench-serve --tenants 2 --seed"), "--seed needs a value");
+        // The operand comes before any flag, so a flag in its place is
+        // taken as the operand.
+        assert_eq!(err("train --seed 3"), "unrecognized argument '3'");
+        assert_eq!(err("run"), "missing benchmark name (try 'rumba list')");
+        assert_eq!(err("report"), "report <path.jsonl> needs a value");
+        assert_eq!(err("report a b"), "unrecognized argument 'b'");
+        assert_eq!(err("frobnicate --seed 3"), "unknown command 'frobnicate' (try 'rumba help')");
+        // A value is taken verbatim, even when it looks like a flag.
+        assert!(p("run fft --metrics-out --threads").is_ok());
+        // Help stays lenient.
+        assert_eq!(p("help --wat").unwrap(), Command::Help);
+        assert_eq!(p("-h me").unwrap(), Command::Help);
+    }
 }
