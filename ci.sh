@@ -255,6 +255,26 @@ for simd in 0 1; do
 done
 echo "    zoo sweep byte-identical at SIMD {0,1} x threads {1,4}"
 
+echo "==> flag gate: --threads and --simd on the command line vs the goldens"
+# Every other gate sets threads and SIMD through RUMBA_THREADS/RUMBA_SIMD.
+# Here the flags do it, with both variables unset, so the one place in
+# the driver that applies them is gated too.
+for golden in serve_trace zoo; do
+    case $golden in
+        serve_trace) args=(bench-serve --seed 7 --threads 4 --simd 0) ;;
+        zoo) args=(zoo --seed 7 --threads 1 --simd 1) ;;
+    esac
+    env -u RUMBA_THREADS -u RUMBA_SIMD RUMBA_CACHE=0 \
+        cargo run --release -q -p rumba-cli --bin rumba -- "${args[@]}" \
+        >"$smoke_dir/flags.$golden" 2>/dev/null
+    if ! cmp -s "$smoke_dir/flags.$golden" "ci/$golden.golden"; then
+        echo "FAIL: ${args[*]} differs from ci/$golden.golden" >&2
+        diff "ci/$golden.golden" "$smoke_dir/flags.$golden" | head -20 >&2
+        exit 1
+    fi
+done
+echo "    bench-serve and zoo byte-identical with --threads/--simd given as flags"
+
 echo "==> warm-cache golden gate: compensate, zoo and bench-serve filling, then hitting, the model cache"
 # Every other golden gate runs with RUMBA_CACHE=0, so none reads a cache
 # entry back. Here the first run of each command fills a fresh cache

@@ -33,11 +33,7 @@ impl CheckerChoice {
             "evp" => Ok(Self::Evp),
             "table" => Ok(Self::Table),
             "ensemble" => Ok(Self::Ensemble),
-            other => Err(ParseError::BadValue {
-                flag: "--checker",
-                value: other.to_owned(),
-                expected: "linear|tree|ema|evp|table|ensemble",
-            }),
+            other => Err(bad("--checker", other, "linear|tree|ema|evp|table|ensemble")),
         }
     }
 }
@@ -59,7 +55,8 @@ impl Default for ModeChoice {
     }
 }
 
-/// A parsed command line.
+/// A parsed command line: what to compute. How the process runs it
+/// (threads, SIMD, telemetry) is in the [`Overrides`] parsed beside it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// `rumba list` — print the benchmark registry.
@@ -70,16 +67,6 @@ pub enum Command {
         kernel: String,
         /// Master seed.
         seed: u64,
-        /// Worker-thread override (`None` leaves `RUMBA_THREADS`/auto in
-        /// charge). Results are identical at any setting.
-        threads: Option<usize>,
-        /// SIMD dispatch override (`--simd 0|1|auto`; `None` leaves the
-        /// `RUMBA_SIMD` environment variable in charge). Results are
-        /// bit-identical at any setting.
-        simd: Option<SimdMode>,
-        /// JSONL telemetry destination (`--metrics-out`); `None` leaves the
-        /// `RUMBA_METRICS_OUT` environment variable in charge.
-        metrics_out: Option<String>,
     },
     /// `rumba run <kernel> [flags]` — online managed execution.
     Run {
@@ -93,16 +80,6 @@ pub enum Command {
         mode: ModeChoice,
         /// Tuning-window length.
         window: usize,
-        /// Worker-thread override (`None` leaves `RUMBA_THREADS`/auto in
-        /// charge). Results are identical at any setting.
-        threads: Option<usize>,
-        /// SIMD dispatch override (`--simd 0|1|auto`; `None` leaves the
-        /// `RUMBA_SIMD` environment variable in charge). Results are
-        /// bit-identical at any setting.
-        simd: Option<SimdMode>,
-        /// JSONL telemetry destination (`--metrics-out`); `None` leaves the
-        /// `RUMBA_METRICS_OUT` environment variable in charge.
-        metrics_out: Option<String>,
     },
     /// `rumba faults [flags]` — fault-injection sweep: per-checker
     /// detection-coverage table plus a managed NaN-injection run.
@@ -115,16 +92,6 @@ pub enum Command {
         rate: f64,
         /// Tuning-window length for the managed run.
         window: usize,
-        /// Worker-thread override (`None` leaves `RUMBA_THREADS`/auto in
-        /// charge). Results are identical at any setting.
-        threads: Option<usize>,
-        /// SIMD dispatch override (`--simd 0|1|auto`; `None` leaves the
-        /// `RUMBA_SIMD` environment variable in charge). Results are
-        /// bit-identical at any setting.
-        simd: Option<SimdMode>,
-        /// JSONL telemetry destination (`--metrics-out`); `None` leaves the
-        /// `RUMBA_METRICS_OUT` environment variable in charge.
-        metrics_out: Option<String>,
     },
     /// `rumba compensate [flags]` — predict-and-compensate sweep: per
     /// kernel and checker, the re-execution-only fix count that meets the
@@ -137,16 +104,6 @@ pub enum Command {
         seed: u64,
         /// Target output quality the sweep holds both recovery mixes to.
         toq: f64,
-        /// Worker-thread override (`None` leaves `RUMBA_THREADS`/auto in
-        /// charge). Results are identical at any setting.
-        threads: Option<usize>,
-        /// SIMD dispatch override (`--simd 0|1|auto`; `None` leaves the
-        /// `RUMBA_SIMD` environment variable in charge). Results are
-        /// bit-identical at any setting.
-        simd: Option<SimdMode>,
-        /// JSONL telemetry destination (`--metrics-out`); `None` leaves the
-        /// `RUMBA_METRICS_OUT` environment variable in charge.
-        metrics_out: Option<String>,
     },
     /// `rumba zoo [flags]` — invocation-driven model-zoo sweep: per
     /// kernel, train a quality/energy ladder of approximators, route each
@@ -162,16 +119,6 @@ pub enum Command {
         toq: f64,
         /// Ladder size (model tiers per kernel, exact CPU not counted).
         tiers: usize,
-        /// Worker-thread override (`None` leaves `RUMBA_THREADS`/auto in
-        /// charge). Results are identical at any setting.
-        threads: Option<usize>,
-        /// SIMD dispatch override (`--simd 0|1|auto`; `None` leaves the
-        /// `RUMBA_SIMD` environment variable in charge). Results are
-        /// bit-identical at any setting.
-        simd: Option<SimdMode>,
-        /// JSONL telemetry destination (`--metrics-out`); `None` leaves the
-        /// `RUMBA_METRICS_OUT` environment variable in charge.
-        metrics_out: Option<String>,
     },
     /// `rumba drift [flags]` — open-world drift sweep: per kernel ×
     /// generative scenario (steady, drifting inputs, diurnal load,
@@ -186,16 +133,6 @@ pub enum Command {
         seed: u64,
         /// Tuning-window length (the refit commit boundary).
         window: usize,
-        /// Worker-thread override (`None` leaves `RUMBA_THREADS`/auto in
-        /// charge). Results are identical at any setting.
-        threads: Option<usize>,
-        /// SIMD dispatch override (`--simd 0|1|auto`; `None` leaves the
-        /// `RUMBA_SIMD` environment variable in charge). Results are
-        /// bit-identical at any setting.
-        simd: Option<SimdMode>,
-        /// JSONL telemetry destination (`--metrics-out`); `None` leaves the
-        /// `RUMBA_METRICS_OUT` environment variable in charge.
-        metrics_out: Option<String>,
     },
     /// `rumba report <path.jsonl>` — summarize a telemetry stream.
     Report {
@@ -218,13 +155,6 @@ pub enum Command {
         /// placement is a pure hash of the session name, so responses are
         /// bit-identical at any shard count.
         shards: usize,
-        /// Worker-thread override (`None` leaves `RUMBA_THREADS`/auto in
-        /// charge). Results are identical at any setting.
-        threads: Option<usize>,
-        /// SIMD dispatch override (`--simd 0|1|auto`; `None` leaves the
-        /// `RUMBA_SIMD` environment variable in charge). Results are
-        /// bit-identical at any setting.
-        simd: Option<SimdMode>,
     },
     /// `rumba bench-serve` — replay the seeded multi-tenant workload
     /// trace (the serving conformance artifact).
@@ -239,16 +169,25 @@ pub enum Command {
         /// shards (one lockstep connection per tenant) and print the
         /// multi-client trace instead of the in-process one.
         shards: Option<usize>,
-        /// Worker-thread override (`None` leaves `RUMBA_THREADS`/auto in
-        /// charge). The trace is identical at any setting.
-        threads: Option<usize>,
-        /// SIMD dispatch override (`--simd 0|1|auto`; `None` leaves the
-        /// `RUMBA_SIMD` environment variable in charge). The trace is
-        /// bit-identical at any setting.
-        simd: Option<SimdMode>,
     },
     /// `rumba help` or no arguments.
     Help,
+}
+
+/// How a command runs: the process-wide settings its flags override. A
+/// command's output is bit-identical at every setting; `main` applies
+/// them once, before dispatch.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Overrides {
+    /// Worker-thread count (`--threads`; `None` leaves `RUMBA_THREADS`/auto
+    /// in charge).
+    pub threads: Option<usize>,
+    /// SIMD dispatch (`--simd 0|1|auto`; `None` leaves the `RUMBA_SIMD`
+    /// environment variable in charge).
+    pub simd: Option<SimdMode>,
+    /// JSONL telemetry destination (`--metrics-out`; `None` leaves the
+    /// `RUMBA_METRICS_OUT` environment variable in charge).
+    pub metrics_out: Option<String>,
 }
 
 /// Why a command line failed to parse.
@@ -289,7 +228,8 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses the arguments after the program name.
+/// Parses the arguments after the program name into the command and the
+/// overrides it runs under.
 ///
 /// # Errors
 ///
@@ -298,536 +238,284 @@ impl std::error::Error for ParseError {}
 /// # Examples
 ///
 /// ```
-/// use rumba_cli::args::{parse, Command};
+/// use rumba_cli::args::{parse, Command, Overrides};
 ///
-/// let cmd = parse(&["list".to_owned()]).unwrap();
+/// let (cmd, overrides) = parse(&["list".to_owned()]).unwrap();
 /// assert_eq!(cmd, Command::List);
+/// assert_eq!(overrides, Overrides::default());
 /// ```
-pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        None | Some("help" | "--help" | "-h") => Ok(Command::Help),
-        Some("list") => Ok(Command::List),
-        Some("purity") => {
-            let kernel = it.next().ok_or(ParseError::MissingKernel)?.to_owned();
-            Ok(Command::Purity { kernel })
+pub fn parse(args: &[String]) -> Result<(Command, Overrides), ParseError> {
+    let (name, rest) = match args.split_first() {
+        Some((name, rest)) => (name.as_str(), rest),
+        None => ("help", args),
+    };
+    let mut f = Flags::default();
+    let command = match name {
+        "help" | "--help" | "-h" => Command::Help,
+        "list" => {
+            f.walk(rest, &[])?;
+            Command::List
         }
-        Some("report") => {
-            let path = it.next().ok_or(ParseError::MissingValue("report <path.jsonl>"))?.to_owned();
-            if let Some(extra) = it.next() {
-                return Err(ParseError::UnknownFlag(extra.to_owned()));
+        "purity" => {
+            let (kernel, rest) = operand(rest, ParseError::MissingKernel)?;
+            f.walk(rest, &[])?;
+            Command::Purity { kernel }
+        }
+        "report" => {
+            let (path, rest) = operand(rest, ParseError::MissingValue("report <path.jsonl>"))?;
+            f.walk(rest, &[])?;
+            Command::Report { path }
+        }
+        "train" => {
+            let (kernel, rest) = operand(rest, ParseError::MissingKernel)?;
+            f.walk(rest, &["--seed", "--threads", "--simd", "--metrics-out"])?;
+            Command::Train { kernel, seed: f.seed.unwrap_or(42) }
+        }
+        "run" => {
+            let (kernel, rest) = operand(rest, ParseError::MissingKernel)?;
+            f.walk(
+                rest,
+                &[
+                    "--seed",
+                    "--checker",
+                    "--toq",
+                    "--budget",
+                    "--quality-mode",
+                    "--window",
+                    "--threads",
+                    "--simd",
+                    "--metrics-out",
+                ],
+            )?;
+            Command::Run {
+                kernel,
+                seed: f.seed.unwrap_or(42),
+                checker: f.checker,
+                mode: f.mode.unwrap_or_default(),
+                window: f.window.unwrap_or(256),
             }
-            Ok(Command::Report { path })
         }
-        Some("train") => {
-            let kernel = it.next().ok_or(ParseError::MissingKernel)?.to_owned();
-            let mut seed = 42u64;
-            let mut threads = None;
-            let mut simd = None;
-            let mut metrics_out = None;
-            let rest: Vec<&str> = it.collect();
-            let mut k = 0;
-            while k < rest.len() {
-                match rest[k] {
-                    "--seed" => {
-                        seed = parse_u64(rest.get(k + 1).copied(), "--seed")?;
-                        k += 2;
+        "faults" => {
+            f.walk(
+                rest,
+                &[
+                    "--kernels",
+                    "--seed",
+                    "--rate",
+                    "--window",
+                    "--threads",
+                    "--simd",
+                    "--metrics-out",
+                ],
+            )?;
+            Command::Faults {
+                kernels: std::mem::take(&mut f.kernels),
+                seed: f.seed.unwrap_or(42),
+                rate: f.rate.unwrap_or(1e-3),
+                window: f.window.unwrap_or(128),
+            }
+        }
+        "compensate" => {
+            f.walk(
+                rest,
+                &["--kernels", "--seed", "--toq", "--threads", "--simd", "--metrics-out"],
+            )?;
+            Command::Compensate {
+                kernels: std::mem::take(&mut f.kernels),
+                seed: f.seed.unwrap_or(42),
+                toq: f.toq(0.9),
+            }
+        }
+        "zoo" => {
+            f.walk(
+                rest,
+                &[
+                    "--kernels",
+                    "--seed",
+                    "--toq",
+                    "--tiers",
+                    "--threads",
+                    "--simd",
+                    "--metrics-out",
+                ],
+            )?;
+            Command::Zoo {
+                kernels: std::mem::take(&mut f.kernels),
+                seed: f.seed.unwrap_or(42),
+                toq: f.toq(0.95),
+                tiers: f.tiers.unwrap_or(3),
+            }
+        }
+        "drift" => {
+            f.walk(
+                rest,
+                &["--kernels", "--seed", "--window", "--threads", "--simd", "--metrics-out"],
+            )?;
+            Command::Drift {
+                kernels: std::mem::take(&mut f.kernels),
+                seed: f.seed.unwrap_or(42),
+                window: f.window.unwrap_or(128),
+            }
+        }
+        "serve" => {
+            f.walk(rest, &["--socket", "--tcp", "--shards", "--threads", "--simd"])?;
+            Command::Serve {
+                socket: f.socket.take(),
+                tcp: f.tcp.take(),
+                shards: f.shards.unwrap_or(1),
+            }
+        }
+        "bench-serve" => {
+            f.walk(
+                rest,
+                &["--seed", "--tenants", "--requests", "--shards", "--threads", "--simd"],
+            )?;
+            Command::BenchServe {
+                seed: f.seed.unwrap_or(7),
+                tenants: f.tenants.unwrap_or(3),
+                requests: f.requests.unwrap_or(40),
+                shards: f.shards,
+            }
+        }
+        other => return Err(ParseError::UnknownCommand(other.to_owned())),
+    };
+    Ok((command, f.overrides))
+}
+
+/// Splits the operand a subcommand takes before its flags off `rest`.
+fn operand(rest: &[String], missing: ParseError) -> Result<(String, &[String]), ParseError> {
+    let (first, tail) = rest.split_first().ok_or(missing)?;
+    Ok((first.clone(), tail))
+}
+
+/// Every flag value, as the walker found it: `None` (or empty, or the
+/// default checker) for a flag that was not given, so each subcommand
+/// applies its own defaults.
+#[derive(Default)]
+struct Flags {
+    seed: Option<u64>,
+    kernels: Vec<String>,
+    /// `--toq`, `--budget` and `--quality-mode`: the last one given wins.
+    mode: Option<ModeChoice>,
+    window: Option<usize>,
+    tiers: Option<usize>,
+    rate: Option<f64>,
+    shards: Option<usize>,
+    tenants: Option<usize>,
+    requests: Option<usize>,
+    checker: CheckerChoice,
+    socket: Option<String>,
+    tcp: Option<String>,
+    overrides: Overrides,
+}
+
+impl Flags {
+    /// Walks `args` in order, keeping the last value of each flag, and
+    /// stops at the first argument that is not in `accepted`, lacks its
+    /// value or fails validation. Every flag is parsed here and nowhere
+    /// else.
+    fn walk(&mut self, args: &[String], accepted: &[&'static str]) -> Result<(), ParseError> {
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            let Some(&flag) = accepted.iter().find(|&&f| f == arg) else {
+                return Err(ParseError::UnknownFlag(arg.to_owned()));
+            };
+            if flag == "--quality-mode" {
+                self.mode = Some(ModeChoice::Quality);
+                continue;
+            }
+            let value = args.next().ok_or(ParseError::MissingValue(flag))?;
+            let count = |max, expected| parse_count(value, flag, max, expected);
+            match flag {
+                "--seed" => self.seed = Some(parse_u64(value, flag)?),
+                "--kernels" => {
+                    self.kernels =
+                        value.split(',').filter(|s| !s.is_empty()).map(str::to_owned).collect();
+                    if self.kernels.is_empty() {
+                        return Err(bad(flag, value, "a comma-separated benchmark list"));
                     }
-                    "--threads" => {
-                        threads = Some(parse_threads(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--simd" => {
-                        simd = Some(parse_simd(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(parse_path(rest.get(k + 1).copied(), "--metrics-out")?);
-                        k += 2;
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.to_owned())),
                 }
-            }
-            Ok(Command::Train { kernel, seed, threads, simd, metrics_out })
-        }
-        Some("faults") => {
-            let mut kernels = Vec::new();
-            let mut seed = 42u64;
-            let mut rate = 1e-3;
-            let mut window = 128usize;
-            let mut threads = None;
-            let mut simd = None;
-            let mut metrics_out = None;
-            let rest: Vec<&str> = it.collect();
-            let mut k = 0;
-            while k < rest.len() {
-                match rest[k] {
-                    "--kernels" => {
-                        let v = rest.get(k + 1).ok_or(ParseError::MissingValue("--kernels"))?;
-                        kernels =
-                            v.split(',').filter(|s| !s.is_empty()).map(str::to_owned).collect();
-                        if kernels.is_empty() {
-                            return Err(ParseError::BadValue {
-                                flag: "--kernels",
-                                value: (*v).to_owned(),
-                                expected: "a comma-separated benchmark list",
-                            });
-                        }
-                        k += 2;
-                    }
-                    "--seed" => {
-                        seed = parse_u64(rest.get(k + 1).copied(), "--seed")?;
-                        k += 2;
-                    }
-                    "--rate" => {
-                        let v = parse_f64(rest.get(k + 1).copied(), "--rate")?;
-                        if !(v > 0.0 && v <= 1.0) {
-                            return Err(ParseError::BadValue {
-                                flag: "--rate",
-                                value: v.to_string(),
-                                expected: "an injection rate in (0, 1]",
-                            });
-                        }
-                        rate = v;
-                        k += 2;
-                    }
-                    "--window" => {
-                        let v = parse_u64(rest.get(k + 1).copied(), "--window")?;
-                        if v == 0 {
-                            return Err(ParseError::BadValue {
-                                flag: "--window",
-                                value: "0".into(),
-                                expected: "a positive window length",
-                            });
-                        }
-                        window = v as usize;
-                        k += 2;
-                    }
-                    "--threads" => {
-                        threads = Some(parse_threads(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--simd" => {
-                        simd = Some(parse_simd(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(parse_path(rest.get(k + 1).copied(), "--metrics-out")?);
-                        k += 2;
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.to_owned())),
+                "--toq" => {
+                    self.mode =
+                        Some(ModeChoice::Toq(parse_unit(value, flag, "a quality in (0, 1]")?));
                 }
-            }
-            Ok(Command::Faults { kernels, seed, rate, window, threads, simd, metrics_out })
-        }
-        Some("compensate") => {
-            let mut kernels = Vec::new();
-            let mut seed = 42u64;
-            let mut toq = 0.9f64;
-            let mut threads = None;
-            let mut simd = None;
-            let mut metrics_out = None;
-            let rest: Vec<&str> = it.collect();
-            let mut k = 0;
-            while k < rest.len() {
-                match rest[k] {
-                    "--kernels" => {
-                        let v = rest.get(k + 1).ok_or(ParseError::MissingValue("--kernels"))?;
-                        kernels =
-                            v.split(',').filter(|s| !s.is_empty()).map(str::to_owned).collect();
-                        if kernels.is_empty() {
-                            return Err(ParseError::BadValue {
-                                flag: "--kernels",
-                                value: (*v).to_owned(),
-                                expected: "a comma-separated benchmark list",
-                            });
-                        }
-                        k += 2;
-                    }
-                    "--seed" => {
-                        seed = parse_u64(rest.get(k + 1).copied(), "--seed")?;
-                        k += 2;
-                    }
-                    "--toq" => {
-                        let v = parse_f64(rest.get(k + 1).copied(), "--toq")?;
-                        if !(0.0 < v && v <= 1.0) {
-                            return Err(ParseError::BadValue {
-                                flag: "--toq",
-                                value: v.to_string(),
-                                expected: "a quality in (0, 1]",
-                            });
-                        }
-                        toq = v;
-                        k += 2;
-                    }
-                    "--threads" => {
-                        threads = Some(parse_threads(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--simd" => {
-                        simd = Some(parse_simd(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(parse_path(rest.get(k + 1).copied(), "--metrics-out")?);
-                        k += 2;
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.to_owned())),
+                "--budget" => {
+                    self.mode = Some(ModeChoice::Energy(parse_u64(value, flag)? as usize))
                 }
-            }
-            Ok(Command::Compensate { kernels, seed, toq, threads, simd, metrics_out })
-        }
-        Some("zoo") => {
-            let mut kernels = Vec::new();
-            let mut seed = 42u64;
-            let mut toq = 0.95f64;
-            let mut tiers = 3usize;
-            let mut threads = None;
-            let mut simd = None;
-            let mut metrics_out = None;
-            let rest: Vec<&str> = it.collect();
-            let mut k = 0;
-            while k < rest.len() {
-                match rest[k] {
-                    "--kernels" => {
-                        let v = rest.get(k + 1).ok_or(ParseError::MissingValue("--kernels"))?;
-                        kernels =
-                            v.split(',').filter(|s| !s.is_empty()).map(str::to_owned).collect();
-                        if kernels.is_empty() {
-                            return Err(ParseError::BadValue {
-                                flag: "--kernels",
-                                value: (*v).to_owned(),
-                                expected: "a comma-separated benchmark list",
-                            });
-                        }
-                        k += 2;
-                    }
-                    "--seed" => {
-                        seed = parse_u64(rest.get(k + 1).copied(), "--seed")?;
-                        k += 2;
-                    }
-                    "--toq" => {
-                        let v = parse_f64(rest.get(k + 1).copied(), "--toq")?;
-                        if !(0.0 < v && v <= 1.0) {
-                            return Err(ParseError::BadValue {
-                                flag: "--toq",
-                                value: v.to_string(),
-                                expected: "a quality in (0, 1]",
-                            });
-                        }
-                        toq = v;
-                        k += 2;
-                    }
-                    "--tiers" => {
-                        let v = parse_u64(rest.get(k + 1).copied(), "--tiers")?;
-                        if !(1..=8).contains(&v) {
-                            return Err(ParseError::BadValue {
-                                flag: "--tiers",
-                                value: v.to_string(),
-                                expected: "a ladder size in 1..=8",
-                            });
-                        }
-                        tiers = v as usize;
-                        k += 2;
-                    }
-                    "--threads" => {
-                        threads = Some(parse_threads(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--simd" => {
-                        simd = Some(parse_simd(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(parse_path(rest.get(k + 1).copied(), "--metrics-out")?);
-                        k += 2;
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.to_owned())),
+                "--window" => self.window = Some(count(u64::MAX, "a positive window length")?),
+                "--tiers" => self.tiers = Some(count(8, "a ladder size in 1..=8")?),
+                "--rate" => {
+                    self.rate = Some(parse_unit(value, flag, "an injection rate in (0, 1]")?)
                 }
-            }
-            Ok(Command::Zoo { kernels, seed, toq, tiers, threads, simd, metrics_out })
-        }
-        Some("drift") => {
-            let mut kernels = Vec::new();
-            let mut seed = 42u64;
-            let mut window = 128usize;
-            let mut threads = None;
-            let mut simd = None;
-            let mut metrics_out = None;
-            let rest: Vec<&str> = it.collect();
-            let mut k = 0;
-            while k < rest.len() {
-                match rest[k] {
-                    "--kernels" => {
-                        let v = rest.get(k + 1).ok_or(ParseError::MissingValue("--kernels"))?;
-                        kernels =
-                            v.split(',').filter(|s| !s.is_empty()).map(str::to_owned).collect();
-                        if kernels.is_empty() {
-                            return Err(ParseError::BadValue {
-                                flag: "--kernels",
-                                value: (*v).to_owned(),
-                                expected: "a comma-separated benchmark list",
-                            });
-                        }
-                        k += 2;
-                    }
-                    "--seed" => {
-                        seed = parse_u64(rest.get(k + 1).copied(), "--seed")?;
-                        k += 2;
-                    }
-                    "--window" => {
-                        let v = parse_u64(rest.get(k + 1).copied(), "--window")?;
-                        if v == 0 {
-                            return Err(ParseError::BadValue {
-                                flag: "--window",
-                                value: "0".into(),
-                                expected: "a positive window length",
-                            });
-                        }
-                        window = v as usize;
-                        k += 2;
-                    }
-                    "--threads" => {
-                        threads = Some(parse_threads(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--simd" => {
-                        simd = Some(parse_simd(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(parse_path(rest.get(k + 1).copied(), "--metrics-out")?);
-                        k += 2;
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.to_owned())),
+                "--shards" => self.shards = Some(count(u64::MAX, "a positive shard count")?),
+                "--tenants" => self.tenants = Some(count(u64::MAX, "a positive tenant count")?),
+                "--requests" => self.requests = Some(count(u64::MAX, "a positive request count")?),
+                "--checker" => self.checker = CheckerChoice::parse(value)?,
+                "--socket" => self.socket = Some(parse_path(value, flag)?),
+                "--tcp" => self.tcp = Some(parse_path(value, flag)?),
+                "--threads" => {
+                    self.overrides.threads =
+                        Some(count(u64::MAX, "a positive worker-thread count")?);
                 }
-            }
-            Ok(Command::Drift { kernels, seed, window, threads, simd, metrics_out })
-        }
-        Some("serve") => {
-            let mut socket = None;
-            let mut tcp = None;
-            let mut shards = 1usize;
-            let mut threads = None;
-            let mut simd = None;
-            let rest: Vec<&str> = it.collect();
-            let mut k = 0;
-            while k < rest.len() {
-                match rest[k] {
-                    "--socket" => {
-                        socket = Some(parse_path(rest.get(k + 1).copied(), "--socket")?);
-                        k += 2;
-                    }
-                    "--tcp" => {
-                        tcp = Some(parse_path(rest.get(k + 1).copied(), "--tcp")?);
-                        k += 2;
-                    }
-                    "--shards" => {
-                        shards = parse_shards(rest.get(k + 1).copied())?;
-                        k += 2;
-                    }
-                    "--threads" => {
-                        threads = Some(parse_threads(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--simd" => {
-                        simd = Some(parse_simd(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.to_owned())),
+                "--simd" => {
+                    let simd =
+                        SimdMode::parse(value).ok_or_else(|| bad(flag, value, "0|1|auto"))?;
+                    self.overrides.simd = Some(simd);
                 }
+                "--metrics-out" => self.overrides.metrics_out = Some(parse_path(value, flag)?),
+                _ => unreachable!("{flag} is accepted but has no parse arm"),
             }
-            Ok(Command::Serve { socket, tcp, shards, threads, simd })
         }
-        Some("bench-serve") => {
-            let mut seed = 7u64;
-            let mut tenants = 3usize;
-            let mut requests = 40usize;
-            let mut shards = None;
-            let mut threads = None;
-            let mut simd = None;
-            let rest: Vec<&str> = it.collect();
-            let mut k = 0;
-            while k < rest.len() {
-                match rest[k] {
-                    "--seed" => {
-                        seed = parse_u64(rest.get(k + 1).copied(), "--seed")?;
-                        k += 2;
-                    }
-                    "--shards" => {
-                        shards = Some(parse_shards(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--tenants" => {
-                        let v = parse_u64(rest.get(k + 1).copied(), "--tenants")?;
-                        if v == 0 {
-                            return Err(ParseError::BadValue {
-                                flag: "--tenants",
-                                value: "0".into(),
-                                expected: "a positive tenant count",
-                            });
-                        }
-                        tenants = v as usize;
-                        k += 2;
-                    }
-                    "--requests" => {
-                        let v = parse_u64(rest.get(k + 1).copied(), "--requests")?;
-                        if v == 0 {
-                            return Err(ParseError::BadValue {
-                                flag: "--requests",
-                                value: "0".into(),
-                                expected: "a positive request count",
-                            });
-                        }
-                        requests = v as usize;
-                        k += 2;
-                    }
-                    "--threads" => {
-                        threads = Some(parse_threads(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--simd" => {
-                        simd = Some(parse_simd(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.to_owned())),
-                }
-            }
-            Ok(Command::BenchServe { seed, tenants, requests, shards, threads, simd })
+        Ok(())
+    }
+
+    /// The `--toq` value, or `default` when none was given.
+    fn toq(&self, default: f64) -> f64 {
+        match self.mode {
+            Some(ModeChoice::Toq(q)) => q,
+            _ => default,
         }
-        Some("run") => {
-            let kernel = it.next().ok_or(ParseError::MissingKernel)?.to_owned();
-            let mut seed = 42u64;
-            let mut checker = CheckerChoice::default();
-            let mut mode = ModeChoice::default();
-            let mut window = 256usize;
-            let mut threads = None;
-            let mut simd = None;
-            let mut metrics_out = None;
-            let rest: Vec<&str> = it.collect();
-            let mut k = 0;
-            while k < rest.len() {
-                match rest[k] {
-                    "--seed" => {
-                        seed = parse_u64(rest.get(k + 1).copied(), "--seed")?;
-                        k += 2;
-                    }
-                    "--checker" => {
-                        let v = rest.get(k + 1).ok_or(ParseError::MissingValue("--checker"))?;
-                        checker = CheckerChoice::parse(v)?;
-                        k += 2;
-                    }
-                    "--toq" => {
-                        let v = parse_f64(rest.get(k + 1).copied(), "--toq")?;
-                        if !(0.0 < v && v <= 1.0) {
-                            return Err(ParseError::BadValue {
-                                flag: "--toq",
-                                value: v.to_string(),
-                                expected: "a quality in (0, 1]",
-                            });
-                        }
-                        mode = ModeChoice::Toq(v);
-                        k += 2;
-                    }
-                    "--budget" => {
-                        let v = parse_u64(rest.get(k + 1).copied(), "--budget")?;
-                        mode = ModeChoice::Energy(v as usize);
-                        k += 2;
-                    }
-                    "--quality-mode" => {
-                        mode = ModeChoice::Quality;
-                        k += 1;
-                    }
-                    "--window" => {
-                        let v = parse_u64(rest.get(k + 1).copied(), "--window")?;
-                        if v == 0 {
-                            return Err(ParseError::BadValue {
-                                flag: "--window",
-                                value: "0".into(),
-                                expected: "a positive window length",
-                            });
-                        }
-                        window = v as usize;
-                        k += 2;
-                    }
-                    "--threads" => {
-                        threads = Some(parse_threads(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--simd" => {
-                        simd = Some(parse_simd(rest.get(k + 1).copied())?);
-                        k += 2;
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(parse_path(rest.get(k + 1).copied(), "--metrics-out")?);
-                        k += 2;
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.to_owned())),
-                }
-            }
-            Ok(Command::Run { kernel, seed, checker, mode, window, threads, simd, metrics_out })
-        }
-        Some(other) => Err(ParseError::UnknownCommand(other.to_owned())),
     }
 }
 
-fn parse_u64(value: Option<&str>, flag: &'static str) -> Result<u64, ParseError> {
-    let text = value.ok_or(ParseError::MissingValue(flag))?;
-    text.parse().map_err(|_| ParseError::BadValue {
-        flag,
-        value: text.to_owned(),
-        expected: "an unsigned integer",
-    })
+fn bad(flag: &'static str, value: impl ToString, expected: &'static str) -> ParseError {
+    ParseError::BadValue { flag, value: value.to_string(), expected }
 }
 
-fn parse_shards(value: Option<&str>) -> Result<usize, ParseError> {
-    let v = parse_u64(value, "--shards")?;
-    if v == 0 {
-        return Err(ParseError::BadValue {
-            flag: "--shards",
-            value: "0".into(),
-            expected: "a positive shard count",
-        });
+fn parse_u64(value: &str, flag: &'static str) -> Result<u64, ParseError> {
+    value.parse().map_err(|_| bad(flag, value, "an unsigned integer"))
+}
+
+/// A count in `1..=max`; out of range reports the parsed number.
+fn parse_count(
+    value: &str,
+    flag: &'static str,
+    max: u64,
+    expected: &'static str,
+) -> Result<usize, ParseError> {
+    let v = parse_u64(value, flag)?;
+    if (1..=max).contains(&v) {
+        Ok(v as usize)
+    } else {
+        Err(bad(flag, v, expected))
     }
-    Ok(v as usize)
 }
 
-fn parse_threads(value: Option<&str>) -> Result<usize, ParseError> {
-    let v = parse_u64(value, "--threads")?;
-    if v == 0 {
-        return Err(ParseError::BadValue {
-            flag: "--threads",
-            value: "0".into(),
-            expected: "a positive worker-thread count",
-        });
+/// A number in `(0, 1]`; out of range reports the parsed number.
+fn parse_unit(value: &str, flag: &'static str, expected: &'static str) -> Result<f64, ParseError> {
+    let v: f64 = value.parse().map_err(|_| bad(flag, value, "a number"))?;
+    if v > 0.0 && v <= 1.0 {
+        Ok(v)
+    } else {
+        Err(bad(flag, v, expected))
     }
-    Ok(v as usize)
 }
 
-fn parse_simd(value: Option<&str>) -> Result<SimdMode, ParseError> {
-    let text = value.ok_or(ParseError::MissingValue("--simd"))?;
-    SimdMode::parse(text).ok_or_else(|| ParseError::BadValue {
-        flag: "--simd",
-        value: text.to_owned(),
-        expected: "0|1|auto",
-    })
-}
-
-fn parse_path(value: Option<&str>, flag: &'static str) -> Result<String, ParseError> {
-    let text = value.ok_or(ParseError::MissingValue(flag))?;
-    if text.trim().is_empty() {
-        return Err(ParseError::BadValue { flag, value: text.to_owned(), expected: "a file path" });
+fn parse_path(value: &str, flag: &'static str) -> Result<String, ParseError> {
+    if value.trim().is_empty() {
+        return Err(bad(flag, value, "a file path"));
     }
-    Ok(text.to_owned())
-}
-
-fn parse_f64(value: Option<&str>, flag: &'static str) -> Result<f64, ParseError> {
-    let text = value.ok_or(ParseError::MissingValue(flag))?;
-    text.parse().map_err(|_| ParseError::BadValue {
-        flag,
-        value: text.to_owned(),
-        expected: "a number",
-    })
+    Ok(value.to_owned())
 }
 
 /// The help text `rumba help` prints.
@@ -975,9 +663,17 @@ EXAMPLES:
 mod tests {
     use super::*;
 
-    fn p(line: &str) -> Result<Command, ParseError> {
+    fn parsed(line: &str) -> Result<(Command, Overrides), ParseError> {
         let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
         parse(&args)
+    }
+
+    fn p(line: &str) -> Result<Command, ParseError> {
+        parsed(line).map(|(command, _)| command)
+    }
+
+    fn overrides(line: &str) -> Overrides {
+        parsed(line).unwrap().1
     }
 
     #[test]
@@ -990,62 +686,56 @@ mod tests {
 
     #[test]
     fn parses_run_with_defaults() {
-        let cmd = p("run fft").unwrap();
         assert_eq!(
-            cmd,
-            Command::Run {
-                kernel: "fft".into(),
-                seed: 42,
-                checker: CheckerChoice::Tree,
-                mode: ModeChoice::Toq(0.9),
-                window: 256,
-                threads: None,
-                simd: None,
-                metrics_out: None,
-            }
+            parsed("run fft").unwrap(),
+            (
+                Command::Run {
+                    kernel: "fft".into(),
+                    seed: 42,
+                    checker: CheckerChoice::Tree,
+                    mode: ModeChoice::Toq(0.9),
+                    window: 256,
+                },
+                Overrides::default()
+            )
         );
     }
 
     #[test]
     fn parses_run_with_all_flags() {
-        let cmd = p("run jmeint --checker ema --toq 0.95 --window 128 --seed 7 --threads 4 --simd 1 --metrics-out m.jsonl")
+        let got = parsed("run jmeint --checker ema --toq 0.95 --window 128 --seed 7 --threads 4 --simd 1 --metrics-out m.jsonl")
             .unwrap();
         assert_eq!(
-            cmd,
-            Command::Run {
-                kernel: "jmeint".into(),
-                seed: 7,
-                checker: CheckerChoice::Ema,
-                mode: ModeChoice::Toq(0.95),
-                window: 128,
-                threads: Some(4),
-                simd: Some(SimdMode::On),
-                metrics_out: Some("m.jsonl".into()),
-            }
+            got,
+            (
+                Command::Run {
+                    kernel: "jmeint".into(),
+                    seed: 7,
+                    checker: CheckerChoice::Ema,
+                    mode: ModeChoice::Toq(0.95),
+                    window: 128,
+                },
+                Overrides {
+                    threads: Some(4),
+                    simd: Some(SimdMode::On),
+                    metrics_out: Some("m.jsonl".into()),
+                }
+            )
         );
     }
 
     #[test]
     fn parses_threads_on_train_and_rejects_zero() {
         assert_eq!(
-            p("train kmeans --threads 8").unwrap(),
-            Command::Train {
-                kernel: "kmeans".into(),
-                seed: 42,
-                threads: Some(8),
-                simd: None,
-                metrics_out: None
-            }
+            parsed("train kmeans --threads 8").unwrap(),
+            (
+                Command::Train { kernel: "kmeans".into(), seed: 42 },
+                Overrides { threads: Some(8), ..Overrides::default() }
+            )
         );
         assert_eq!(
-            p("train kmeans").unwrap(),
-            Command::Train {
-                kernel: "kmeans".into(),
-                seed: 42,
-                threads: None,
-                simd: None,
-                metrics_out: None
-            }
+            parsed("train kmeans").unwrap(),
+            (Command::Train { kernel: "kmeans".into(), seed: 42 }, Overrides::default())
         );
         assert!(matches!(p("run fft --threads 0"), Err(ParseError::BadValue { .. })));
         assert!(matches!(p("train fft --threads"), Err(ParseError::MissingValue("--threads"))));
@@ -1060,22 +750,10 @@ mod tests {
 
     #[test]
     fn parses_simd_spellings_and_rejects_garbage() {
-        assert!(matches!(
-            p("run fft --simd 0").unwrap(),
-            Command::Run { simd: Some(SimdMode::Off), .. }
-        ));
-        assert!(matches!(
-            p("run fft --simd on").unwrap(),
-            Command::Run { simd: Some(SimdMode::On), .. }
-        ));
-        assert!(matches!(
-            p("train fft --simd auto").unwrap(),
-            Command::Train { simd: Some(SimdMode::Auto), .. }
-        ));
-        assert!(matches!(
-            p("serve --simd scalar").unwrap(),
-            Command::Serve { simd: Some(SimdMode::Off), .. }
-        ));
+        assert_eq!(overrides("run fft --simd 0").simd, Some(SimdMode::Off));
+        assert_eq!(overrides("run fft --simd on").simd, Some(SimdMode::On));
+        assert_eq!(overrides("train fft --simd auto").simd, Some(SimdMode::Auto));
+        assert_eq!(overrides("serve --simd scalar").simd, Some(SimdMode::Off));
         assert!(matches!(p("run fft --simd"), Err(ParseError::MissingValue("--simd"))));
         assert!(matches!(p("run fft --simd avx512"), Err(ParseError::BadValue { .. })));
     }
@@ -1093,10 +771,10 @@ mod tests {
         assert_eq!(p("report m.jsonl").unwrap(), Command::Report { path: "m.jsonl".into() });
         assert!(matches!(p("report"), Err(ParseError::MissingValue(_))));
         assert!(matches!(p("report a.jsonl extra"), Err(ParseError::UnknownFlag(_))));
-        assert!(matches!(
-            p("train fft --metrics-out out.jsonl").unwrap(),
-            Command::Train { metrics_out: Some(_), .. }
-        ));
+        assert_eq!(
+            overrides("train fft --metrics-out out.jsonl").metrics_out.as_deref(),
+            Some("out.jsonl")
+        );
         assert!(matches!(
             p("run fft --metrics-out"),
             Err(ParseError::MissingValue("--metrics-out"))
@@ -1125,29 +803,28 @@ mod tests {
     #[test]
     fn parses_faults_with_defaults_and_flags() {
         assert_eq!(
-            p("faults").unwrap(),
-            Command::Faults {
-                kernels: vec![],
-                seed: 42,
-                rate: 1e-3,
-                window: 128,
-                threads: None,
-                simd: None,
-                metrics_out: None,
-            }
+            parsed("faults").unwrap(),
+            (
+                Command::Faults { kernels: vec![], seed: 42, rate: 1e-3, window: 128 },
+                Overrides::default()
+            )
         );
         assert_eq!(
-            p("faults --kernels gaussian,fft --seed 7 --rate 0.01 --window 64 --threads 2 --simd 0 --metrics-out f.jsonl")
+            parsed("faults --kernels gaussian,fft --seed 7 --rate 0.01 --window 64 --threads 2 --simd 0 --metrics-out f.jsonl")
                 .unwrap(),
-            Command::Faults {
-                kernels: vec!["gaussian".into(), "fft".into()],
-                seed: 7,
-                rate: 0.01,
-                window: 64,
-                threads: Some(2),
-                simd: Some(SimdMode::Off),
-                metrics_out: Some("f.jsonl".into()),
-            }
+            (
+                Command::Faults {
+                    kernels: vec!["gaussian".into(), "fft".into()],
+                    seed: 7,
+                    rate: 0.01,
+                    window: 64,
+                },
+                Overrides {
+                    threads: Some(2),
+                    simd: Some(SimdMode::Off),
+                    metrics_out: Some("f.jsonl".into()),
+                }
+            )
         );
         assert!(matches!(p("faults --rate 0"), Err(ParseError::BadValue { .. })));
         assert!(matches!(p("faults --rate 1.5"), Err(ParseError::BadValue { .. })));
@@ -1159,27 +836,24 @@ mod tests {
     #[test]
     fn parses_compensate_with_defaults_and_flags() {
         assert_eq!(
-            p("compensate").unwrap(),
-            Command::Compensate {
-                kernels: vec![],
-                seed: 42,
-                toq: 0.9,
-                threads: None,
-                simd: None,
-                metrics_out: None,
-            }
+            parsed("compensate").unwrap(),
+            (Command::Compensate { kernels: vec![], seed: 42, toq: 0.9 }, Overrides::default())
         );
         assert_eq!(
-            p("compensate --kernels gaussian,fft --seed 9 --toq 0.95 --threads 2 --simd 1 --metrics-out c.jsonl")
+            parsed("compensate --kernels gaussian,fft --seed 9 --toq 0.95 --threads 2 --simd 1 --metrics-out c.jsonl")
                 .unwrap(),
-            Command::Compensate {
-                kernels: vec!["gaussian".into(), "fft".into()],
-                seed: 9,
-                toq: 0.95,
-                threads: Some(2),
-                simd: Some(SimdMode::On),
-                metrics_out: Some("c.jsonl".into()),
-            }
+            (
+                Command::Compensate {
+                    kernels: vec!["gaussian".into(), "fft".into()],
+                    seed: 9,
+                    toq: 0.95,
+                },
+                Overrides {
+                    threads: Some(2),
+                    simd: Some(SimdMode::On),
+                    metrics_out: Some("c.jsonl".into()),
+                }
+            )
         );
         assert!(matches!(p("compensate --toq 0"), Err(ParseError::BadValue { .. })));
         assert!(matches!(p("compensate --toq 1.5"), Err(ParseError::BadValue { .. })));
@@ -1197,29 +871,25 @@ mod tests {
     #[test]
     fn parses_zoo_with_defaults_and_flags() {
         assert_eq!(
-            p("zoo").unwrap(),
-            Command::Zoo {
-                kernels: vec![],
-                seed: 42,
-                toq: 0.95,
-                tiers: 3,
-                threads: None,
-                simd: None,
-                metrics_out: None,
-            }
+            parsed("zoo").unwrap(),
+            (Command::Zoo { kernels: vec![], seed: 42, toq: 0.95, tiers: 3 }, Overrides::default())
         );
         assert_eq!(
-            p("zoo --kernels gaussian,fft --seed 9 --toq 0.9 --tiers 4 --threads 2 --simd 1 --metrics-out z.jsonl")
+            parsed("zoo --kernels gaussian,fft --seed 9 --toq 0.9 --tiers 4 --threads 2 --simd 1 --metrics-out z.jsonl")
                 .unwrap(),
-            Command::Zoo {
-                kernels: vec!["gaussian".into(), "fft".into()],
-                seed: 9,
-                toq: 0.9,
-                tiers: 4,
-                threads: Some(2),
-                simd: Some(SimdMode::On),
-                metrics_out: Some("z.jsonl".into()),
-            }
+            (
+                Command::Zoo {
+                    kernels: vec!["gaussian".into(), "fft".into()],
+                    seed: 9,
+                    toq: 0.9,
+                    tiers: 4,
+                },
+                Overrides {
+                    threads: Some(2),
+                    simd: Some(SimdMode::On),
+                    metrics_out: Some("z.jsonl".into()),
+                }
+            )
         );
         assert!(matches!(p("zoo --toq 0"), Err(ParseError::BadValue { .. })));
         assert!(matches!(p("zoo --tiers 0"), Err(ParseError::BadValue { .. })));
@@ -1230,27 +900,20 @@ mod tests {
     #[test]
     fn parses_drift_with_defaults_and_flags() {
         assert_eq!(
-            p("drift").unwrap(),
-            Command::Drift {
-                kernels: vec![],
-                seed: 42,
-                window: 128,
-                threads: None,
-                simd: None,
-                metrics_out: None,
-            }
+            parsed("drift").unwrap(),
+            (Command::Drift { kernels: vec![], seed: 42, window: 128 }, Overrides::default())
         );
         assert_eq!(
-            p("drift --kernels gaussian --seed 7 --window 64 --threads 4 --simd 0 --metrics-out d.jsonl")
+            parsed("drift --kernels gaussian --seed 7 --window 64 --threads 4 --simd 0 --metrics-out d.jsonl")
                 .unwrap(),
-            Command::Drift {
-                kernels: vec!["gaussian".into()],
-                seed: 7,
-                window: 64,
-                threads: Some(4),
-                simd: Some(SimdMode::Off),
-                metrics_out: Some("d.jsonl".into()),
-            }
+            (
+                Command::Drift { kernels: vec!["gaussian".into()], seed: 7, window: 64 },
+                Overrides {
+                    threads: Some(4),
+                    simd: Some(SimdMode::Off),
+                    metrics_out: Some("d.jsonl".into()),
+                }
+            )
         );
         assert!(matches!(p("drift --window 0"), Err(ParseError::BadValue { .. })));
         assert!(matches!(p("drift --kernels"), Err(ParseError::MissingValue("--kernels"))));
@@ -1283,51 +946,36 @@ mod tests {
     #[test]
     fn parses_serve_and_bench_serve() {
         assert_eq!(
-            p("serve").unwrap(),
-            Command::Serve { socket: None, tcp: None, shards: 1, threads: None, simd: None }
+            parsed("serve").unwrap(),
+            (Command::Serve { socket: None, tcp: None, shards: 1 }, Overrides::default())
         );
         assert_eq!(
-            p("serve --socket /tmp/rumba.sock --threads 2 --simd auto").unwrap(),
-            Command::Serve {
-                socket: Some("/tmp/rumba.sock".into()),
-                tcp: None,
-                shards: 1,
-                threads: Some(2),
-                simd: Some(SimdMode::Auto),
-            }
+            parsed("serve --socket /tmp/rumba.sock --threads 2 --simd auto").unwrap(),
+            (
+                Command::Serve { socket: Some("/tmp/rumba.sock".into()), tcp: None, shards: 1 },
+                Overrides { threads: Some(2), simd: Some(SimdMode::Auto), metrics_out: None }
+            )
         );
         assert_eq!(
             p("serve --tcp 127.0.0.1:7077 --shards 4").unwrap(),
-            Command::Serve {
-                socket: None,
-                tcp: Some("127.0.0.1:7077".into()),
-                shards: 4,
-                threads: None,
-                simd: None,
-            }
+            Command::Serve { socket: None, tcp: Some("127.0.0.1:7077".into()), shards: 4 }
         );
         assert_eq!(
-            p("bench-serve").unwrap(),
-            Command::BenchServe {
-                seed: 7,
-                tenants: 3,
-                requests: 40,
-                shards: None,
-                threads: None,
-                simd: None,
-            }
+            parsed("bench-serve").unwrap(),
+            (
+                Command::BenchServe { seed: 7, tenants: 3, requests: 40, shards: None },
+                Overrides::default()
+            )
         );
         assert_eq!(
-            p("bench-serve --seed 9 --tenants 2 --requests 12 --shards 2 --threads 4 --simd 1")
-                .unwrap(),
-            Command::BenchServe {
-                seed: 9,
-                tenants: 2,
-                requests: 12,
-                shards: Some(2),
-                threads: Some(4),
-                simd: Some(SimdMode::On),
-            }
+            parsed(
+                "bench-serve --seed 9 --tenants 2 --requests 12 --shards 2 --threads 4 --simd 1"
+            )
+            .unwrap(),
+            (
+                Command::BenchServe { seed: 9, tenants: 2, requests: 12, shards: Some(2) },
+                Overrides { threads: Some(4), simd: Some(SimdMode::On), metrics_out: None }
+            )
         );
         assert!(matches!(p("serve --socket"), Err(ParseError::MissingValue("--socket"))));
         assert!(matches!(p("serve --shards 0"), Err(ParseError::BadValue { .. })));
@@ -1367,11 +1015,12 @@ mod tests {
     }
 
     // The flag grammar as a table: every subcommand against the union of
-    // all flags. `purity` and `list` ignore whatever follows them, so
-    // they have no row here.
+    // all flags.
 
-    /// Every subcommand that takes flags, with the operand it needs first.
-    const SUBCOMMANDS: [&str; 9] = [
+    /// Every subcommand but `help`, with the operand it needs first.
+    const SUBCOMMANDS: [&str; 11] = [
+        "list",
+        "purity sobel",
         "report m.jsonl",
         "train fft",
         "run fft",
@@ -1407,7 +1056,7 @@ mod tests {
     /// The flags `cmd` accepts; any other flag is an `UnknownFlag`.
     fn accepts(cmd: &str) -> &'static [&'static str] {
         match cmd.split(' ').next().unwrap() {
-            "report" => &[],
+            "list" | "purity" | "report" => &[],
             "train" => &["--seed", "--threads", "--simd", "--metrics-out"],
             "run" => &[
                 "--seed",
@@ -1449,7 +1098,7 @@ mod tests {
     fn with(cmd: &str, tail: &[&str]) -> Result<Command, ParseError> {
         let args: Vec<String> =
             cmd.split_whitespace().chain(tail.iter().copied()).map(str::to_owned).collect();
-        parse(&args)
+        parse(&args).map(|(command, _)| command)
     }
 
     #[test]
@@ -1594,6 +1243,8 @@ mod tests {
         assert_eq!(err("run"), "missing benchmark name (try 'rumba list')");
         assert_eq!(err("report"), "report <path.jsonl> needs a value");
         assert_eq!(err("report a b"), "unrecognized argument 'b'");
+        assert_eq!(err("purity sobel extra"), "unrecognized argument 'extra'");
+        assert_eq!(err("list --bogus"), "unrecognized argument '--bogus'");
         assert_eq!(err("frobnicate --seed 3"), "unknown command 'frobnicate' (try 'rumba help')");
         // A value is taken verbatim, even when it looks like a flag.
         assert!(p("run fft --metrics-out --threads").is_ok());

@@ -9,7 +9,7 @@ use rumba_core::report::RunReport;
 use rumba_core::runtime::{RefitConfig, RumbaSystem, RuntimeConfig, WatchdogConfig};
 use rumba_core::scheme::SchemeKind;
 use rumba_core::trainer::{invocation_errors, train_app, OfflineConfig, TrainedApp};
-use rumba_core::tuner::{calibrate_threshold, Tuner, TuningMode};
+use rumba_core::tuner::{Tuner, TuningMode};
 use rumba_core::zoo::train_zoo;
 use rumba_energy::{EnergyParams, SystemModel, WorkloadProfile};
 use rumba_faults::{FaultModel, FaultPlan};
@@ -141,16 +141,11 @@ pub fn run(
     // checker itself.
     let train = kernel.generate(Split::Train, seed);
     let mut probe = build_checker(checker, &app, kernel.as_ref(), seed)?;
-    let mut scratch = rumba_nn::Scratch::new();
-    let mut approx_train = rumba_nn::Matrix::default();
-    app.rumba_npu.invoke_batch(train.inputs_view(), &mut scratch, &mut approx_train)?;
-    let predicted: Vec<f64> =
-        (0..train.len()).map(|i| probe.estimate(train.input(i), approx_train.row(i))).collect();
     let target = match mode {
         ModeChoice::Toq(q) => 1.0 - q,
         _ => 0.10,
     };
-    let threshold = calibrate_threshold(&predicted, &app.train_errors, target);
+    let (_, threshold) = app.calibrate(probe.as_mut(), &train, target)?;
 
     let tuning = match mode {
         ModeChoice::Toq(q) => TuningMode::TargetQuality { toq: q },
@@ -532,14 +527,8 @@ fn zoo_kernel(
     // Calibrate the firing threshold exactly as `rumba run --toq` does:
     // tree checker probed on the train split, budgeted at 1 - toq.
     let train = kernel.generate(Split::Train, seed);
-    let mut probe = app.tree.clone();
-    let mut scratch = rumba_nn::Scratch::new();
-    let mut approx_train = rumba_nn::Matrix::default();
-    app.rumba_npu.invoke_batch(train.inputs_view(), &mut scratch, &mut approx_train)?;
-    let predicted: Vec<f64> =
-        (0..train.len()).map(|i| probe.estimate(train.input(i), approx_train.row(i))).collect();
     let budget = 1.0 - toq;
-    let threshold = calibrate_threshold(&predicted, &app.train_errors, budget);
+    let (predicted, threshold) = app.calibrate(&mut app.tree.clone(), &train, budget)?;
 
     let build = || -> Result<RumbaSystem, CommandError> {
         Ok(RumbaSystem::new(
@@ -791,13 +780,7 @@ fn drift_kernel(
     let budget = (0.5 * mean_err).max(1e-9);
 
     let train = kernel.generate(Split::Train, seed);
-    let mut probe = app.tree.clone();
-    let mut scratch = rumba_nn::Scratch::new();
-    let mut approx_train = rumba_nn::Matrix::default();
-    app.rumba_npu.invoke_batch(train.inputs_view(), &mut scratch, &mut approx_train)?;
-    let predicted: Vec<f64> =
-        (0..train.len()).map(|i| probe.estimate(train.input(i), approx_train.row(i))).collect();
-    let threshold = calibrate_threshold(&predicted, &app.train_errors, budget);
+    let (_, threshold) = app.calibrate(&mut app.tree.clone(), &train, budget)?;
 
     let _ = writeln!(
         out,

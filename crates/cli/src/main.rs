@@ -25,93 +25,41 @@ fn main() -> ExitCode {
     // pool-usage event when main returns.
     let _obs = rumba_obs::guard();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = match parse(&args) {
-        Ok(c) => c,
+    let (command, overrides) = match parse(&args) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
 
+    rumba_parallel::set_thread_override(overrides.threads);
+    rumba_nn::set_simd_override(overrides.simd);
+    if let Some(path) = overrides.metrics_out {
+        if let Err(code) = install_metrics_sink(&path) {
+            return code;
+        }
+    }
+
     let result = match command {
-        Command::Help => {
-            print!("{HELP}");
-            return ExitCode::SUCCESS;
-        }
-        Command::List => {
-            print!("{}", commands::list());
-            return ExitCode::SUCCESS;
-        }
-        Command::Train { kernel, seed, threads, simd, metrics_out } => {
-            rumba_parallel::set_thread_override(threads);
-            rumba_nn::set_simd_override(simd);
-            if let Some(path) = metrics_out {
-                if let Err(code) = install_metrics_sink(&path) {
-                    return code;
-                }
-            }
-            commands::train(&kernel, seed)
-        }
-        Command::Run { kernel, seed, checker, mode, window, threads, simd, metrics_out } => {
-            rumba_parallel::set_thread_override(threads);
-            rumba_nn::set_simd_override(simd);
-            if let Some(path) = metrics_out {
-                if let Err(code) = install_metrics_sink(&path) {
-                    return code;
-                }
-            }
+        Command::Help => Ok(HELP.to_owned()),
+        Command::List => Ok(commands::list()),
+        Command::Train { kernel, seed } => commands::train(&kernel, seed),
+        Command::Run { kernel, seed, checker, mode, window } => {
             commands::run(&kernel, seed, checker, mode, window)
         }
-        Command::Faults { kernels, seed, rate, window, threads, simd, metrics_out } => {
-            rumba_parallel::set_thread_override(threads);
-            rumba_nn::set_simd_override(simd);
-            if let Some(path) = metrics_out {
-                if let Err(code) = install_metrics_sink(&path) {
-                    return code;
-                }
-            }
+        Command::Faults { kernels, seed, rate, window } => {
             commands::faults(&kernels, seed, rate, window)
         }
-        Command::Compensate { kernels, seed, toq, threads, simd, metrics_out } => {
-            rumba_parallel::set_thread_override(threads);
-            rumba_nn::set_simd_override(simd);
-            if let Some(path) = metrics_out {
-                if let Err(code) = install_metrics_sink(&path) {
-                    return code;
-                }
-            }
-            commands::compensate(&kernels, seed, toq)
-        }
-        Command::Zoo { kernels, seed, toq, tiers, threads, simd, metrics_out } => {
-            rumba_parallel::set_thread_override(threads);
-            rumba_nn::set_simd_override(simd);
-            if let Some(path) = metrics_out {
-                if let Err(code) = install_metrics_sink(&path) {
-                    return code;
-                }
-            }
-            commands::zoo(&kernels, seed, toq, tiers)
-        }
-        Command::Drift { kernels, seed, window, threads, simd, metrics_out } => {
-            rumba_parallel::set_thread_override(threads);
-            rumba_nn::set_simd_override(simd);
-            if let Some(path) = metrics_out {
-                if let Err(code) = install_metrics_sink(&path) {
-                    return code;
-                }
-            }
-            commands::drift(&kernels, seed, window)
-        }
+        Command::Compensate { kernels, seed, toq } => commands::compensate(&kernels, seed, toq),
+        Command::Zoo { kernels, seed, toq, tiers } => commands::zoo(&kernels, seed, toq, tiers),
+        Command::Drift { kernels, seed, window } => commands::drift(&kernels, seed, window),
         Command::Report { path } => commands::report(&path),
         Command::Purity { kernel } => commands::purity(&kernel),
-        Command::Serve { socket, tcp, shards, threads, simd } => {
-            rumba_parallel::set_thread_override(threads);
-            rumba_nn::set_simd_override(simd);
+        Command::Serve { socket, tcp, shards } => {
             commands::serve(socket.as_deref(), tcp.as_deref(), shards)
         }
-        Command::BenchServe { seed, tenants, requests, shards, threads, simd } => {
-            rumba_parallel::set_thread_override(threads);
-            rumba_nn::set_simd_override(simd);
+        Command::BenchServe { seed, tenants, requests, shards } => {
             commands::bench_serve(seed, tenants, requests, shards)
         }
     };

@@ -12,9 +12,12 @@
 use rumba_accel::{Npu, NpuParams};
 use rumba_apps::Kernel;
 use rumba_nn::{Activation, Matrix, NnDataset, Scratch, TrainParams, TrainedModel};
-use rumba_predict::{DecisionTree, EvpErrors, LinearErrors, LinearModel, TreeErrors, TreeParams};
+use rumba_predict::{
+    DecisionTree, ErrorEstimator, EvpErrors, LinearErrors, LinearModel, TreeErrors, TreeParams,
+};
 
 use crate::cache::{CachedModels, TrainedModelCache};
+use crate::tuner::calibrate_threshold;
 use crate::{Result, RumbaError};
 
 /// Settings for the offline pipeline.
@@ -67,6 +70,33 @@ pub struct TrainedApp {
     /// Per-invocation errors of the Rumba accelerator on the train split
     /// (the predictor-trainer's targets; kept for threshold calibration).
     pub train_errors: Vec<f64>,
+}
+
+impl TrainedApp {
+    /// Calibrates a deployed checker's initial firing threshold: replays
+    /// the Rumba accelerator over `train` (the app's train split), has
+    /// `probe` estimate each invocation's error, and places the threshold
+    /// whose firing rate meets `target_error` on [`TrainedApp::train_errors`]
+    /// ([`calibrate_threshold`]). Returns the per-invocation predictions
+    /// with the threshold, so callers can reuse them on the same split.
+    ///
+    /// # Errors
+    ///
+    /// Propagates accelerator dimension errors.
+    pub fn calibrate(
+        &self,
+        probe: &mut dyn ErrorEstimator,
+        train: &NnDataset,
+        target_error: f64,
+    ) -> Result<(Vec<f64>, f64)> {
+        let mut scratch = Scratch::new();
+        let mut approx = Matrix::default();
+        self.rumba_npu.invoke_batch(train.inputs_view(), &mut scratch, &mut approx)?;
+        let predicted: Vec<f64> =
+            (0..train.len()).map(|i| probe.estimate(train.input(i), approx.row(i))).collect();
+        let threshold = calibrate_threshold(&predicted, &self.train_errors, target_error);
+        Ok((predicted, threshold))
+    }
 }
 
 /// Neural-network training hyper-parameters per benchmark.

@@ -150,31 +150,6 @@ impl ModelZoo {
             rows.iter().flat_map(|row| self.tiers.iter().map(|t| t.router.predict(row))).collect();
         routed_bar(self.tiers.len(), &preds, tier_errors, budget)
     }
-
-    /// [`ModelZoo::calibrate_bar`] with the per-tier train errors measured
-    /// in place: runs every model tier over `train` and calibrates against
-    /// the observed invocation errors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates accelerator invocation failures.
-    pub fn calibrate_bar_on(
-        &self,
-        kernel: &dyn Kernel,
-        train: &rumba_nn::NnDataset,
-        budget: f64,
-    ) -> Result<f64> {
-        if self.tiers.len() == 1 || train.is_empty() {
-            return Ok(budget);
-        }
-        let rows: Vec<&[f64]> = (0..train.len()).map(|i| train.input(i)).collect();
-        let tier_errors: Vec<Vec<f64>> = self
-            .tiers
-            .iter()
-            .map(|t| invocation_errors(kernel, &t.npu, train))
-            .collect::<Result<_>>()?;
-        Ok(self.calibrate_bar(&rows, &tier_errors, budget))
-    }
 }
 
 /// [`ModelZoo::calibrate_bar`] on router predictions `preds`, row-major
@@ -447,10 +422,6 @@ mod tests {
         let narrow = zoo.calibrate_bar(&rows, &tier_errors, 0.01);
         let wide = zoo.calibrate_bar(&rows, &tier_errors, 0.2);
         assert!(wide >= narrow, "{wide} < {narrow}");
-        // The measured-error convenience wrapper agrees with the explicit
-        // call bit-for-bit.
-        let on = zoo.calibrate_bar_on(kernel.as_ref(), &train, 0.05).unwrap();
-        assert_eq!(on.to_bits(), zoo.calibrate_bar(&rows, &tier_errors, 0.05).to_bits());
         // Degenerate shapes fall back to the budget: a single-tier zoo has
         // no routing choice, and mismatched inputs never calibrate.
         let (_, _, solo) = gaussian_zoo(1);

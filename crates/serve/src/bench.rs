@@ -10,12 +10,11 @@
 //! repository's benchmark of record lives in `perfbench/`.
 
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 
 use rumba_apps::{kernel_by_name, Split};
 use rumba_obs::json::JsonWriter;
 
+use crate::client::Client;
 use crate::protocol::handle_line;
 use crate::registry::ServeRuntime;
 use crate::transport::NetServer;
@@ -185,54 +184,6 @@ pub fn run_trace(cfg: BenchConfig) -> Result<(String, TraceStats), ServeError> {
     Ok((trace, stats))
 }
 
-/// One lockstep TCP client in a [`run_net_trace`] replay: sends a request
-/// line and reads the complete response group before the driver moves on,
-/// so the multi-connection trace is exactly as deterministic as the
-/// in-process one.
-struct NetClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl NetClient {
-    fn connect(addr: &str) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self { reader, writer: stream })
-    }
-
-    /// Sends one request and reads its full response group. Most ops
-    /// answer with exactly one line; `drain`, `close` and `shutdown`
-    /// stream result lines first, so their replies are read up to the
-    /// op's terminal line (route-level failures answer with a single
-    /// `error` line instead).
-    fn request(&mut self, line: &str, op: &str) -> std::io::Result<Vec<String>> {
-        // One write per request: the socket has Nagle off, so `writeln!`
-        // would send the line and its newline as two segments.
-        self.writer.write_all(format!("{line}\n").as_bytes())?;
-        let mut lines: Vec<String> = Vec::new();
-        loop {
-            let mut buf = String::new();
-            if self.reader.read_line(&mut buf)? == 0 {
-                return Ok(lines);
-            }
-            let line = buf.trim_end_matches(['\n', '\r']).to_owned();
-            let first_is_error = lines.is_empty() && line.starts_with("{\"type\":\"error\"");
-            let terminal = match op {
-                "drain" => line.starts_with("{\"type\":\"ack\",\"op\":\"drain\""),
-                "close" => line.starts_with("{\"type\":\"closed\""),
-                "shutdown" => line.starts_with("{\"type\":\"ack\",\"op\":\"shutdown\""),
-                _ => true,
-            };
-            lines.push(line);
-            if terminal || first_is_error {
-                return Ok(lines);
-            }
-        }
-    }
-}
-
 fn net_io(e: std::io::Error) -> ServeError {
     ServeError::Runtime(format!("net bench I/O: {e}"))
 }
@@ -251,9 +202,9 @@ fn net_io(e: std::io::Error) -> ServeError {
 pub fn run_net_trace(cfg: BenchConfig, shards: usize) -> Result<String, ServeError> {
     let server = NetServer::bind_tcp("127.0.0.1:0", shards).map_err(net_io)?;
     let addr = server.addr().to_owned();
-    let mut clients: Vec<NetClient> = Vec::with_capacity(cfg.tenants);
+    let mut clients = Vec::with_capacity(cfg.tenants);
     for _ in 0..cfg.tenants.max(1) {
-        clients.push(NetClient::connect(&addr).map_err(net_io)?);
+        clients.push(Client::connect(&addr).map_err(net_io)?);
     }
 
     let mut trace = String::new();

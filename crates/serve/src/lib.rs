@@ -22,9 +22,11 @@
 //! * [`protocol`] — a newline-delimited JSON request/response dialect
 //!   (std-only; stdin/stdout or a Unix socket) plus the seeded
 //!   multi-tenant workload replay behind `rumba bench-serve`
-//!   ([`bench`]).
+//!   ([`bench`]). [`Client`] is the one line client for the socket and
+//!   TCP transports: it owns the rule for where a response group ends.
 
 pub mod bench;
+pub mod client;
 pub mod protocol;
 pub mod registry;
 pub mod session;
@@ -32,6 +34,7 @@ pub mod shard;
 pub mod snapshot;
 pub mod transport;
 
+pub use client::Client;
 pub use registry::{ServeRuntime, Submit};
 pub use session::{
     AdmissionPolicy, CheckerKind, Session, SessionConfig, SessionResult, SessionStats,

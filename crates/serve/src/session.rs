@@ -11,7 +11,7 @@ use rumba_core::runtime::{
     approximate, FixPolicy, RefitConfig, RumbaSystem, RuntimeConfig, WatchdogConfig,
 };
 use rumba_core::trainer::{invocation_errors, train_app, OfflineConfig, TrainedApp};
-use rumba_core::tuner::{calibrate_threshold, Tuner, TuningMode};
+use rumba_core::tuner::{Tuner, TuningMode};
 use rumba_core::zoo::{train_zoo, ModelZoo};
 use rumba_faults::{FaultModel, FaultPlan};
 use rumba_nn::{Matrix, MatrixView, NnDataset, Scratch};
@@ -908,13 +908,8 @@ impl Calibration {
     ) -> Result<Self, ServeError> {
         let train = kernel.generate(Split::Train, config.seed);
         let mut probe = build_checker(config.checker, app, kernel)?;
-        let mut scratch = Scratch::new();
-        let mut approx = Matrix::default();
-        app.rumba_npu.invoke_batch(train.inputs_view(), &mut scratch, &mut approx)?;
-        let predicted: Vec<f64> =
-            (0..train.len()).map(|i| probe.estimate(train.input(i), approx.row(i))).collect();
-        let threshold =
-            calibrate_threshold(&predicted, &app.train_errors, quality_budget(config.mode));
+        let (predicted, threshold) =
+            app.calibrate(probe.as_mut(), &train, quality_budget(config.mode))?;
         Ok(Self { train, predicted, threshold })
     }
 }

@@ -15,7 +15,7 @@
 //!   protocol, and a client that pipelines a burst over TCP or a Unix
 //!   socket gets the same responses, each sent as soon as it is ready.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::sync::OnceLock;
@@ -29,7 +29,7 @@ use rumba_serve::bench::{run_net_trace, run_trace, BenchConfig};
 use rumba_serve::protocol::handle_line;
 use rumba_serve::shard::{shard_of, Router};
 use rumba_serve::transport::NetServer;
-use rumba_serve::ServeRuntime;
+use rumba_serve::{Client, ServeRuntime};
 
 fn workload() -> &'static NnDataset {
     static DATA: OnceLock<NnDataset> = OnceLock::new();
@@ -52,53 +52,6 @@ fn invoke_req(name: &str, input: &[f64]) -> String {
     let mut w = JsonWriter::object("request");
     w.string("op", "invoke").string("session", name).floats("input", input);
     w.finish().replacen("\"type\":\"request\",", "", 1)
-}
-
-/// One lockstep client connection: sends a request line and reads the
-/// complete response group (multi-line ops up to their terminal line).
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        Self { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
-    }
-
-    fn send_raw(&mut self, bytes: &[u8]) {
-        self.writer.write_all(bytes).unwrap();
-        self.writer.flush().unwrap();
-    }
-
-    fn read_group(&mut self, op: &str) -> Vec<String> {
-        let mut lines: Vec<String> = Vec::new();
-        loop {
-            let mut buf = String::new();
-            if self.reader.read_line(&mut buf).unwrap() == 0 {
-                return lines;
-            }
-            let line = buf.trim_end_matches(['\n', '\r']).to_owned();
-            let first_is_error = lines.is_empty() && line.starts_with("{\"type\":\"error\"");
-            let terminal = match op {
-                "drain" => line.starts_with("{\"type\":\"ack\",\"op\":\"drain\""),
-                "close" => line.starts_with("{\"type\":\"closed\""),
-                "shutdown" => line.starts_with("{\"type\":\"ack\",\"op\":\"shutdown\""),
-                _ => true,
-            };
-            lines.push(line);
-            if terminal || first_is_error {
-                return lines;
-            }
-        }
-    }
-
-    fn request(&mut self, line: &str, op: &str) -> Vec<String> {
-        self.send_raw(format!("{line}\n").as_bytes());
-        self.read_group(op)
-    }
 }
 
 /// The per-session op script the multi-client/solo comparison runs: the
@@ -138,7 +91,8 @@ fn each_client_sees_its_solo_stream_bit_for_bit() {
     let server = NetServer::bind_tcp("127.0.0.1:0", 2).unwrap();
     let addr = server.addr().to_owned();
     let names = ["tenant-a", "tenant-b", "tenant-c"];
-    let mut clients: Vec<Client> = names.iter().map(|_| Client::connect(&addr)).collect();
+    let mut clients: Vec<Client<TcpStream>> =
+        names.iter().map(|_| Client::connect(&addr).unwrap()).collect();
     let scripts: Vec<_> =
         names.iter().enumerate().map(|(t, n)| session_script(n, t * 31)).collect();
 
@@ -149,11 +103,11 @@ fn each_client_sees_its_solo_stream_bit_for_bit() {
     for step in 0..longest {
         for (t, script) in scripts.iter().enumerate() {
             if let Some((line, op)) = script.get(step) {
-                observed[t].extend(clients[t].request(line, op));
+                observed[t].extend(clients[t].request(line, op).unwrap());
             }
         }
     }
-    clients[0].request("{\"op\":\"shutdown\"}", "shutdown");
+    clients[0].request("{\"op\":\"shutdown\"}", "shutdown").unwrap();
     drop(clients);
     server.join().unwrap();
 
@@ -253,7 +207,7 @@ fn snapshot_migrates_to_another_shard_under_a_new_name() {
     let server = NetServer::bind_tcp("127.0.0.1:0", 2).unwrap();
     let addr = server.addr().to_owned();
     let data = workload();
-    let mut client = Client::connect(&addr);
+    let mut client = Client::connect(&addr).unwrap();
 
     // Uninterrupted reference, solo and in-process.
     let mut head: Vec<(String, &str)> = vec![(open_req(old), "open")];
@@ -271,24 +225,25 @@ fn snapshot_migrates_to_another_shard_under_a_new_name() {
     // original, restore under `new` — which hashes to the *other* shard —
     // and continue there.
     for (line, op) in &head {
-        client.request(line, op);
+        client.request(line, op).unwrap();
     }
-    let snap =
-        client.request(&format!("{{\"op\":\"snapshot\",\"session\":\"{old}\"}}"), "snapshot");
+    let snap = client
+        .request(&format!("{{\"op\":\"snapshot\",\"session\":\"{old}\"}}"), "snapshot")
+        .unwrap();
     let state = parse_object(&snap[0]).unwrap().string("state").expect("state").to_owned();
-    client.request(&format!("{{\"op\":\"close\",\"session\":\"{old}\"}}"), "close");
+    client.request(&format!("{{\"op\":\"close\",\"session\":\"{old}\"}}"), "close").unwrap();
 
     let mut w = JsonWriter::object("request");
     w.string("op", "restore").string("session", new).string("state", &state);
     let restore_req = w.finish().replacen("\"type\":\"request\",", "", 1);
-    let ack = client.request(&restore_req, "restore");
+    let ack = client.request(&restore_req, "restore").unwrap();
     assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"restore\""), "{ack:?}");
 
     let mut migrated = Vec::new();
     for (line, op) in &continuation_script(new) {
-        migrated.extend(client.request(line, op));
+        migrated.extend(client.request(line, op).unwrap());
     }
-    client.request("{\"op\":\"shutdown\"}", "shutdown");
+    client.request("{\"op\":\"shutdown\"}", "shutdown").unwrap();
     drop(client);
     server.join().unwrap();
 
@@ -305,31 +260,31 @@ fn malformed_and_oversized_lines_stay_connection_scoped() {
     let server = NetServer::bind_tcp("127.0.0.1:0", 2).unwrap();
     let addr = server.addr().to_owned();
     let data = workload();
-    let mut bad = Client::connect(&addr);
-    let mut good = Client::connect(&addr);
+    let mut bad = Client::connect(&addr).unwrap();
+    let mut good = Client::connect(&addr).unwrap();
 
-    good.request(&open_req("steady"), "open");
+    good.request(&open_req("steady"), "open").unwrap();
 
     // Malformed NDJSON answers with one error line on the bad connection.
-    let err = bad.request("this is not json", "garbage");
+    let err = bad.request("this is not json", "garbage").unwrap();
     assert_eq!(err.len(), 1);
     assert!(err[0].starts_with("{\"type\":\"error\""), "{err:?}");
 
     // Oversized line: consumed, answered in-band, connection survives.
     let huge = format!("{}\n", "x".repeat(300 * 1024));
-    bad.send_raw(huge.as_bytes());
-    let err = bad.read_group("oversized");
+    bad.send(huge.as_bytes()).unwrap();
+    let err = bad.read_group("oversized").unwrap();
     assert!(err[0].contains("exceeds"), "{err:?}");
-    let after = bad.request("{\"op\":\"stats\",\"session\":\"steady\"}", "stats");
+    let after = bad.request("{\"op\":\"stats\",\"session\":\"steady\"}", "stats").unwrap();
     assert!(after[0].starts_with("{\"type\":\"stats\""), "bad connection poisoned: {after:?}");
 
     // The well-behaved client's session is untouched throughout.
-    let ack = good.request(&invoke_req("steady", data.input(0)), "invoke");
+    let ack = good.request(&invoke_req("steady", data.input(0)), "invoke").unwrap();
     assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"invoke\""), "{ack:?}");
-    let drained = good.request("{\"op\":\"drain\",\"session\":\"steady\"}", "drain");
+    let drained = good.request("{\"op\":\"drain\",\"session\":\"steady\"}", "drain").unwrap();
     assert!(drained.iter().any(|l| l.starts_with("{\"type\":\"result\"")), "{drained:?}");
 
-    good.request("{\"op\":\"shutdown\"}", "shutdown");
+    good.request("{\"op\":\"shutdown\"}", "shutdown").unwrap();
     drop((bad, good));
     server.join().unwrap();
 }
@@ -338,21 +293,21 @@ fn malformed_and_oversized_lines_stay_connection_scoped() {
 fn oversized_open_is_rejected_in_band_and_the_server_keeps_serving() {
     let server = NetServer::bind_tcp("127.0.0.1:0", 2).unwrap();
     let addr = server.addr().to_owned();
-    let mut client = Client::connect(&addr);
+    let mut client = Client::connect(&addr).unwrap();
     // Names on both shards, so each shard's thread sees a rejection.
     let (a, b) = split_names();
     for name in [a, b] {
         for size in ["\"queue\":1000000000000", "\"queue\":1e300", "\"zoo\":1000000000000"] {
             let line = format!("{{\"op\":\"open\",\"session\":\"{name}\",{size}}}");
-            let err = client.request(&line, "open");
+            let err = client.request(&line, "open").unwrap();
             assert_eq!(err.len(), 1, "{err:?}");
             assert!(err[0].starts_with("{\"type\":\"error\",\"op\":\"open\""), "{err:?}");
             assert!(err[0].contains("must be in"), "{err:?}");
         }
-        let ack = client.request(&open_req(name), "open");
+        let ack = client.request(&open_req(name), "open").unwrap();
         assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"open\""), "{ack:?}");
     }
-    client.request("{\"op\":\"shutdown\"}", "shutdown");
+    client.request("{\"op\":\"shutdown\"}", "shutdown").unwrap();
     drop(client);
     server.join().unwrap();
 }
@@ -363,24 +318,24 @@ fn abrupt_disconnect_mid_line_never_executes_the_torn_request() {
     let addr = server.addr().to_owned();
     let data = workload();
 
-    let mut doomed = Client::connect(&addr);
-    doomed.request(&open_req("orphan"), "open");
-    doomed.request(&invoke_req("orphan", data.input(3)), "invoke");
+    let mut doomed = Client::connect(&addr).unwrap();
+    doomed.request(&open_req("orphan"), "open").unwrap();
+    doomed.request(&invoke_req("orphan", data.input(3)), "invoke").unwrap();
     // A torn request: half a close op, no newline, then a hard drop. The
     // tail must be discarded — were it executed, `orphan` would close.
-    doomed.send_raw(b"{\"op\":\"close\",\"session\":\"orp");
+    doomed.send(b"{\"op\":\"close\",\"session\":\"orp").unwrap();
     drop(doomed);
 
-    let mut good = Client::connect(&addr);
-    good.request(&open_req("steady"), "open");
-    good.request(&invoke_req("steady", data.input(0)), "invoke");
-    let drained = good.request("{\"op\":\"drain\",\"session\":\"steady\"}", "drain");
+    let mut good = Client::connect(&addr).unwrap();
+    good.request(&open_req("steady"), "open").unwrap();
+    good.request(&invoke_req("steady", data.input(0)), "invoke").unwrap();
+    let drained = good.request("{\"op\":\"drain\",\"session\":\"steady\"}", "drain").unwrap();
     assert!(drained.iter().any(|l| l.starts_with("{\"type\":\"result\"")), "{drained:?}");
 
     // Shutdown drains the orphaned session: it was opened, never closed,
     // and still owns one queued request — its shard is alive and flushes
     // it on the way out.
-    let down = good.request("{\"op\":\"shutdown\"}", "shutdown");
+    let down = good.request("{\"op\":\"shutdown\"}", "shutdown").unwrap();
     assert!(
         down.iter().any(|l| l.starts_with("{\"type\":\"closed\",\"session\":\"orphan\"")),
         "torn connection poisoned its shard: {down:?}"
@@ -479,21 +434,24 @@ fn router_answers_the_corpus_byte_for_byte_like_handle_line() {
     }
 }
 
-/// Writes the corpus in one `write_all`, reads the responses back, then
-/// checks that a request is answered while the next is still half sent.
-fn pipelined_session(mut writer: impl Write, mut reader: impl BufRead) {
+/// Reads one response line: an op outside the multi-line set has a
+/// one-line group.
+fn next_line<S: Read + Write>(client: &mut Client<S>) -> String {
+    let group = client.read_group("").expect("response before the read timeout");
+    assert_eq!(group.len(), 1, "connection closed before the response");
+    group.into_iter().next().unwrap()
+}
+
+/// Sends the corpus in one write, reads the responses back, then checks
+/// that a request is answered while the next is still half sent.
+fn pipelined_session<S: Read + Write>(mut client: Client<S>) {
     let corpus = corpus();
     let mut rt = ServeRuntime::new();
     let expected: Vec<String> = corpus.iter().flat_map(|l| handle_line(&mut rt, l).0).collect();
     let mut burst = corpus.join("\n");
     burst.push('\n');
-    writer.write_all(burst.as_bytes()).unwrap();
-    let read_line = |reader: &mut dyn BufRead| {
-        let mut buf = String::new();
-        assert!(reader.read_line(&mut buf).expect("response before the read timeout") > 0);
-        buf.trim_end_matches('\n').to_owned()
-    };
-    let got: Vec<String> = expected.iter().map(|_| read_line(&mut reader)).collect();
+    client.send(burst.as_bytes()).unwrap();
+    let got: Vec<String> = expected.iter().map(|_| next_line(&mut client)).collect();
     assert_eq!(got, expected, "pipelined responses differ from the in-process replay");
 
     // A complete request followed by half of the next: the first response
@@ -502,15 +460,13 @@ fn pipelined_session(mut writer: impl Write, mut reader: impl BufRead) {
     let first = format!("{{\"op\":\"stats\",\"session\":\"{b}\"}}\n");
     let second = format!("{{\"op\":\"stats\",\"session\":\"{a}\"}}\n");
     let (head, tail) = second.split_at(second.len() / 2);
-    writer.write_all(format!("{first}{head}").as_bytes()).unwrap();
-    assert_eq!(read_line(&mut reader), handle_line(&mut rt, first.trim_end()).0[0]);
-    writer.write_all(tail.as_bytes()).unwrap();
-    assert_eq!(read_line(&mut reader), handle_line(&mut rt, second.trim_end()).0[0]);
+    client.send(format!("{first}{head}").as_bytes()).unwrap();
+    assert_eq!(next_line(&mut client), handle_line(&mut rt, first.trim_end()).0[0]);
+    client.send(tail.as_bytes()).unwrap();
+    assert_eq!(next_line(&mut client), handle_line(&mut rt, second.trim_end()).0[0]);
 
-    writer.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
     let closing = handle_line(&mut rt, "{\"op\":\"shutdown\"}").0;
-    let got: Vec<String> = closing.iter().map(|_| read_line(&mut reader)).collect();
-    assert_eq!(got, closing);
+    assert_eq!(client.request("{\"op\":\"shutdown\"}", "shutdown").unwrap(), closing);
 }
 
 /// Long enough for a debug build to answer the whole corpus; a server
@@ -523,7 +479,7 @@ fn pipelined_requests_over_tcp_match_the_in_process_replay() {
     let stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
-    pipelined_session(stream.try_clone().unwrap(), BufReader::new(stream));
+    pipelined_session(Client::new(stream));
     server.join().unwrap();
 }
 
@@ -533,7 +489,7 @@ fn pipelined_requests_over_a_unix_socket_match_the_in_process_replay() {
     let server = NetServer::bind_unix(path.to_str().unwrap(), 2).unwrap();
     let stream = UnixStream::connect(&path).unwrap();
     stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
-    pipelined_session(stream.try_clone().unwrap(), BufReader::new(stream));
+    pipelined_session(Client::new(stream));
     server.join().unwrap();
 }
 
@@ -627,12 +583,12 @@ fn compensation_is_thread_simd_and_shard_invariant() {
     for shards in [1usize, 2] {
         let server = NetServer::bind_tcp("127.0.0.1:0", shards).unwrap();
         let addr = server.addr().to_owned();
-        let mut client = Client::connect(&addr);
+        let mut client = Client::connect(&addr).unwrap();
         let mut observed = Vec::new();
         for (line, op) in &script {
-            observed.extend(client.request(line, op));
+            observed.extend(client.request(line, op).unwrap());
         }
-        client.request("{\"op\":\"shutdown\"}", "shutdown");
+        client.request("{\"op\":\"shutdown\"}", "shutdown").unwrap();
         drop(client);
         server.join().unwrap();
         assert_eq!(observed, traces[0], "compensation moved across the net at {shards} shard(s)");

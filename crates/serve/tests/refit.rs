@@ -13,8 +13,6 @@
 //! strict watchdog, the shape the snapshot mutation suite uses, and every
 //! request after the open goes through the protocol.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::OnceLock;
 
 use rumba_apps::{kernel_by_name, Split};
@@ -27,7 +25,7 @@ use rumba_obs::json::{parse_object, JsonWriter, ObjectExt};
 use rumba_serve::protocol::handle_line;
 use rumba_serve::shard::shard_of;
 use rumba_serve::transport::NetServer;
-use rumba_serve::{ServeRuntime, SessionConfig};
+use rumba_serve::{Client, ServeRuntime, SessionConfig};
 
 fn workload() -> &'static NnDataset {
     static DATA: OnceLock<NnDataset> = OnceLock::new();
@@ -204,45 +202,6 @@ fn reservoir_rows_accrue_in_the_snapshot_and_refit_off_stays_fixed_width() {
     assert_eq!(early_off, late_off, "refit-off snapshot must stay fixed width");
 }
 
-/// One lockstep client connection (the `net.rs` idiom): sends a request
-/// line and reads the complete response group.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        Self { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
-    }
-
-    fn request(&mut self, line: &str, op: &str) -> Vec<String> {
-        self.writer.write_all(format!("{line}\n").as_bytes()).unwrap();
-        self.writer.flush().unwrap();
-        let mut lines: Vec<String> = Vec::new();
-        loop {
-            let mut buf = String::new();
-            if self.reader.read_line(&mut buf).unwrap() == 0 {
-                return lines;
-            }
-            let line = buf.trim_end_matches(['\n', '\r']).to_owned();
-            let first_is_error = lines.is_empty() && line.starts_with("{\"type\":\"error\"");
-            let terminal = match op {
-                "drain" => line.starts_with("{\"type\":\"ack\",\"op\":\"drain\""),
-                "close" => line.starts_with("{\"type\":\"closed\""),
-                "shutdown" => line.starts_with("{\"type\":\"ack\",\"op\":\"shutdown\""),
-                _ => true,
-            };
-            lines.push(line);
-            if terminal || first_is_error {
-                return lines;
-            }
-        }
-    }
-}
-
 #[test]
 fn mid_refit_snapshot_migrates_across_tcp_shards() {
     let old = "alice";
@@ -272,23 +231,24 @@ fn mid_refit_snapshot_migrates_across_tcp_shards() {
     // continue there.
     let server = NetServer::bind_tcp("127.0.0.1:0", 2).unwrap();
     let addr = server.addr().to_owned();
-    let mut client = Client::connect(&addr);
-    let ack = client.request(&restore_req(old, &state), "restore");
+    let mut client = Client::connect(&addr).unwrap();
+    let ack = client.request(&restore_req(old, &state), "restore").unwrap();
     assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"restore\""), "{ack:?}");
-    let snap =
-        client.request(&format!("{{\"op\":\"snapshot\",\"session\":\"{old}\"}}"), "snapshot");
+    let snap = client
+        .request(&format!("{{\"op\":\"snapshot\",\"session\":\"{old}\"}}"), "snapshot")
+        .unwrap();
     let wired = parse_object(&snap[0]).unwrap().string("state").expect("state").to_owned();
     assert_eq!(wired, state, "the snapshot crosses the wire and a shard unchanged");
-    client.request(&format!("{{\"op\":\"close\",\"session\":\"{old}\"}}"), "close");
+    client.request(&format!("{{\"op\":\"close\",\"session\":\"{old}\"}}"), "close").unwrap();
 
-    let ack = client.request(&restore_req(new, &wired), "restore");
+    let ack = client.request(&restore_req(new, &wired), "restore").unwrap();
     assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"restore\""), "{ack:?}");
 
     let mut migrated = Vec::new();
     for (line, op) in &tail(new, cut) {
-        migrated.extend(client.request(line, op));
+        migrated.extend(client.request(line, op).unwrap());
     }
-    client.request("{\"op\":\"shutdown\"}", "shutdown");
+    client.request("{\"op\":\"shutdown\"}", "shutdown").unwrap();
     drop(client);
     server.join().unwrap();
 

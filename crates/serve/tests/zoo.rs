@@ -11,8 +11,6 @@
 //!   *before* shedding and never violates the session's TOQ over the
 //!   seeded trace.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -24,7 +22,7 @@ use rumba_nn::NnDataset;
 use rumba_obs::json::JsonWriter;
 use rumba_serve::protocol::handle_line;
 use rumba_serve::transport::NetServer;
-use rumba_serve::{AdmissionPolicy, CheckerKind, ServeRuntime, SessionConfig};
+use rumba_serve::{AdmissionPolicy, CheckerKind, Client, ServeRuntime, SessionConfig};
 
 fn workload() -> &'static NnDataset {
     static DATA: OnceLock<NnDataset> = OnceLock::new();
@@ -90,45 +88,6 @@ fn replay(script: &[(String, &'static str)]) -> Vec<String> {
     out
 }
 
-/// One lockstep client connection (the `net.rs` idiom): sends a request
-/// line and reads the complete response group.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        Self { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
-    }
-
-    fn request(&mut self, line: &str, op: &str) -> Vec<String> {
-        self.writer.write_all(format!("{line}\n").as_bytes()).unwrap();
-        self.writer.flush().unwrap();
-        let mut lines: Vec<String> = Vec::new();
-        loop {
-            let mut buf = String::new();
-            if self.reader.read_line(&mut buf).unwrap() == 0 {
-                return lines;
-            }
-            let line = buf.trim_end_matches(['\n', '\r']).to_owned();
-            let first_is_error = lines.is_empty() && line.starts_with("{\"type\":\"error\"");
-            let terminal = match op {
-                "drain" => line.starts_with("{\"type\":\"ack\",\"op\":\"drain\""),
-                "close" => line.starts_with("{\"type\":\"closed\""),
-                "shutdown" => line.starts_with("{\"type\":\"ack\",\"op\":\"shutdown\""),
-                _ => true,
-            };
-            lines.push(line);
-            if terminal || first_is_error {
-                return lines;
-            }
-        }
-    }
-}
-
 /// The seeded trace the invariance tests share: enough rows to cross
 /// several tuning windows, drains at irregular points so batch shapes
 /// vary, and a three-tier ladder so the router actually has choices.
@@ -166,12 +125,12 @@ fn zoo_routing_is_thread_simd_and_shard_invariant() {
     for shards in [1usize, 2] {
         let server = NetServer::bind_tcp("127.0.0.1:0", shards).unwrap();
         let addr = server.addr().to_owned();
-        let mut client = Client::connect(&addr);
+        let mut client = Client::connect(&addr).unwrap();
         let mut observed = Vec::new();
         for (line, op) in &script {
-            observed.extend(client.request(line, op));
+            observed.extend(client.request(line, op).unwrap());
         }
-        client.request("{\"op\":\"shutdown\"}", "shutdown");
+        client.request("{\"op\":\"shutdown\"}", "shutdown").unwrap();
         drop(client);
         server.join().unwrap();
         assert_eq!(observed, traces[0], "router dispatch moved over TCP at {shards} shard(s)");
