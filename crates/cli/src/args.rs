@@ -425,7 +425,15 @@ impl Flags {
                 continue;
             }
             let value = args.next().ok_or(ParseError::MissingValue(flag))?;
-            let count = |max, expected| parse_count(value, flag, max, expected);
+            // A count in `1..=max`; out of range reports the parsed number.
+            let count = |max: u64, expected| -> Result<usize, ParseError> {
+                let v = parse_u64(value, flag)?;
+                if (1..=max).contains(&v) {
+                    Ok(v as usize)
+                } else {
+                    Err(bad(flag, v, expected))
+                }
+            };
             match flag {
                 "--seed" => self.seed = Some(parse_u64(value, flag)?),
                 "--kernels" => {
@@ -484,21 +492,6 @@ fn bad(flag: &'static str, value: impl ToString, expected: &'static str) -> Pars
 
 fn parse_u64(value: &str, flag: &'static str) -> Result<u64, ParseError> {
     value.parse().map_err(|_| bad(flag, value, "an unsigned integer"))
-}
-
-/// A count in `1..=max`; out of range reports the parsed number.
-fn parse_count(
-    value: &str,
-    flag: &'static str,
-    max: u64,
-    expected: &'static str,
-) -> Result<usize, ParseError> {
-    let v = parse_u64(value, flag)?;
-    if (1..=max).contains(&v) {
-        Ok(v as usize)
-    } else {
-        Err(bad(flag, v, expected))
-    }
 }
 
 /// A number in `(0, 1]`; out of range reports the parsed number.

@@ -34,8 +34,8 @@ impl<S: Read + Write> Client<S> {
         Self { stream: BufReader::new(stream) }
     }
 
-    /// Writes raw bytes in one write: whole lines, a burst of them, or a
-    /// fragment.
+    /// Writes raw bytes with one `write_all`: whole lines, a burst of
+    /// them, or a fragment.
     ///
     /// # Errors
     ///
@@ -82,6 +82,8 @@ impl<S: Read + Write> Client<S> {
     ///
     /// Propagates I/O errors.
     pub fn request(&mut self, line: &str, op: &str) -> io::Result<Vec<String>> {
+        // One write per request: with Nagle off, writing the newline on
+        // its own would send it as a second segment.
         self.send(format!("{line}\n").as_bytes())?;
         self.read_group(op)
     }

@@ -329,11 +329,11 @@ where
 mod tests {
     use std::cell::RefCell;
     use std::collections::VecDeque;
-    use std::net::TcpStream;
     use std::os::unix::net::UnixStream;
     use std::rc::Rc;
 
     use super::*;
+    use crate::client::Client;
 
     fn read_all(input: &str, cap: usize) -> Vec<LineRead> {
         let mut reader = io::BufReader::new(input.as_bytes());
@@ -571,33 +571,13 @@ mod tests {
     #[test]
     fn tcp_server_round_trips_and_shuts_down() {
         let server = NetServer::bind_tcp("127.0.0.1:0", 2).unwrap();
-        let addr = server.addr().to_owned();
-        let mut writer = TcpStream::connect(&addr).unwrap();
-        let mut reader = BufReader::new(writer.try_clone().unwrap());
-        writeln!(
-            writer,
-            "{{\"op\":\"open\",\"session\":\"t0\",\"kernel\":\"gaussian\",\"seed\":7,\
-             \"window\":16,\"queue\":4}}"
-        )
-        .unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.starts_with("{\"type\":\"ack\",\"op\":\"open\""), "{line}");
-        writeln!(writer, "{{\"op\":\"shutdown\"}}").unwrap();
-        writer.flush().unwrap();
-        let mut saw_ack = false;
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line).unwrap() == 0 {
-                break;
-            }
-            if line.contains("\"op\":\"shutdown\"") {
-                saw_ack = true;
-                break;
-            }
-        }
-        assert!(saw_ack);
+        let mut client = Client::connect(server.addr()).unwrap();
+        let open = "{\"op\":\"open\",\"session\":\"t0\",\"kernel\":\"gaussian\",\"seed\":7,\
+                    \"window\":16,\"queue\":4}";
+        let ack = client.request(open, "open").unwrap();
+        assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"open\""), "{ack:?}");
+        let down = client.request("{\"op\":\"shutdown\"}", "shutdown").unwrap();
+        assert!(down.last().is_some_and(|l| l.contains("\"op\":\"shutdown\"")), "{down:?}");
         assert!(server.join().unwrap() >= 1);
     }
 
@@ -608,13 +588,9 @@ mod tests {
         let path_str = path.to_str().unwrap().to_owned();
         let server = NetServer::bind_unix(&path_str, 1).unwrap();
         assert!(path.exists());
-        let mut writer = UnixStream::connect(&path).unwrap();
-        let mut reader = BufReader::new(writer.try_clone().unwrap());
-        writeln!(writer, "{{\"op\":\"shutdown\"}}").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("\"op\":\"shutdown\""), "{line}");
+        let mut client = Client::new(UnixStream::connect(&path).unwrap());
+        let down = client.request("{\"op\":\"shutdown\"}", "shutdown").unwrap();
+        assert!(down[0].contains("\"op\":\"shutdown\""), "{down:?}");
         server.join().unwrap();
         assert!(!path.exists(), "stale socket file left behind");
     }
