@@ -123,7 +123,7 @@ echo "==> word codecs in release: snapshot and cache mutation properties, word-r
 # decode silently, so these suites run again here.
 cargo test -q --release -p rumba-serve --test snapshot_mutation >/dev/null
 cargo test -q --release -p rumba-serve --test cache_mutation >/dev/null
-cargo test -q --release -p rumba-serve --lib snapshot:: >/dev/null
+cargo test -q --release -p rumba-serve --lib -- snapshot:: config:: >/dev/null
 cargo test -q --release -p rumba-obs --lib -- words:: >/dev/null
 cargo test -q --release -p rumba-core --lib -- import_state zoo_pressure_above >/dev/null
 echo "    mutated snapshots and cache entries decode identically or not at all (release)"

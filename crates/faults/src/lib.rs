@@ -201,6 +201,32 @@ impl FaultPlan {
         Ok(plan)
     }
 
+    /// The spec string [`FaultPlan::parse`] reads back into this plan's
+    /// models (the seed travels separately). Numbers are written in Rust's
+    /// shortest round-trip form, so every finite parameter parses back to
+    /// the same bits.
+    #[must_use]
+    pub fn spec(&self) -> String {
+        let entries: Vec<String> = self
+            .models
+            .iter()
+            .map(|model| {
+                let kind = model.kind();
+                match *model {
+                    FaultModel::BitFlip { rate }
+                    | FaultModel::NonFinite { rate }
+                    | FaultModel::CheckerBlind { rate } => format!("{kind}={rate:?}"),
+                    FaultModel::StuckAt { start, value } => format!("{kind}={start}:{value:?}"),
+                    FaultModel::InputDrift { start, ramp, magnitude } => {
+                        format!("{kind}={start}:{ramp}:{magnitude:?}")
+                    }
+                    FaultModel::QueuePressure { start, slots } => format!("{kind}={start}:{slots}"),
+                }
+            })
+            .collect();
+        entries.join(",")
+    }
+
     /// The plan's seed.
     #[must_use]
     pub fn seed(&self) -> u64 {
@@ -386,6 +412,18 @@ mod tests {
         .unwrap();
         assert_eq!(plan.seed(), 9);
         assert_eq!(plan.models(), all_models().as_slice());
+    }
+
+    #[test]
+    fn spec_is_the_inverse_of_parse() {
+        let plan = all_models().into_iter().fold(FaultPlan::new(9), FaultPlan::with);
+        assert_eq!(
+            plan.spec(),
+            "bit_flip=0.05,non_finite=0.05,stuck_at=10:-1.0,input_drift=20:8:0.25,\
+             checker_blind=0.1,queue_pressure=5:3"
+        );
+        assert_eq!(FaultPlan::parse(9, &plan.spec()).unwrap(), plan);
+        assert_eq!(FaultPlan::new(3).spec(), "");
     }
 
     #[test]

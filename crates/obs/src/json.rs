@@ -8,6 +8,7 @@
 
 mod dtoa;
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A parsed flat JSON value.
@@ -248,7 +249,7 @@ const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 /// Parses one flat JSON object (as written by [`JsonWriter`], but accepts
 /// arbitrary whitespace and field order). Nested objects/arrays are not in
-/// the event dialect and are rejected.
+/// the event dialect and are rejected, and so is a key that appears twice.
 ///
 /// # Errors
 ///
@@ -269,7 +270,11 @@ pub fn parse_object(text: &str) -> Result<JsonObject, String> {
             p.expect(b':')?;
             p.skip_ws();
             let value = p.parse_value()?;
-            obj.insert(key, value);
+            // A repeated key is refused rather than letting the last one win.
+            match obj.entry(key) {
+                Entry::Vacant(slot) => slot.insert(value),
+                Entry::Occupied(slot) => return Err(format!("duplicate key {:?}", slot.key())),
+            };
             p.skip_ws();
             match p.next() {
                 Some(b',') => {}

@@ -12,9 +12,13 @@
 use std::fmt::Write as _;
 
 use rumba_apps::{kernel_by_name, Split};
+use rumba_core::event_sim::QueueConfig;
+use rumba_core::tuner::TuningMode;
+use rumba_faults::FaultPlan;
 use rumba_obs::json::JsonWriter;
 
 use crate::client::Client;
+use crate::config::{open_line, AdmissionPolicy, CheckerKind, SessionConfig};
 use crate::protocol::handle_line;
 use crate::registry::ServeRuntime;
 use crate::transport::NetServer;
@@ -62,28 +66,31 @@ fn splitmix(mut x: u64) -> u64 {
 /// configurations so the trace exercises shed and block admission, both
 /// tuning families, distinct checkers, and per-session fault isolation
 /// (only the third profile injects faults).
-fn open_line(tenant: usize, seed: u64) -> String {
-    let name = format!("tenant-{tenant}");
-    match tenant % 3 {
-        0 => format!(
-            "{{\"op\":\"open\",\"session\":\"{name}\",\"kernel\":\"gaussian\",\"seed\":{seed},\
-             \"checker\":\"tree\",\"mode\":\"toq\",\"toq\":0.95,\"window\":16,\"queue\":12,\
-             \"admission\":\"shed\"}}"
-        ),
-        1 => format!(
-            "{{\"op\":\"open\",\"session\":\"{name}\",\"kernel\":\"gaussian\",\"seed\":{seed},\
-             \"checker\":\"linear\",\"mode\":\"energy\",\"budget\":6,\"window\":16,\"queue\":4,\
-             \"admission\":\"block\"}}"
-        ),
-        // The third profile's queue-pressure fault collapses its queue
-        // bound mid-stream, so 503-style sheds deterministically appear
-        // in the conformance trace.
-        _ => format!(
-            "{{\"op\":\"open\",\"session\":\"{name}\",\"kernel\":\"gaussian\",\"seed\":{seed},\
-             \"checker\":\"ema\",\"mode\":\"toq\",\"toq\":0.9,\"window\":16,\"queue\":6,\
-             \"admission\":\"shed\",\"faults\":\"non_finite=0.05,queue_pressure=16:5\",\
-             \"fault_seed\":{seed}}}"
-        ),
+#[must_use]
+pub fn profile(tenant: usize, seed: u64) -> SessionConfig {
+    let (checker, mode, queue, admission) = match tenant % 3 {
+        0 => {
+            (CheckerKind::Tree, TuningMode::TargetQuality { toq: 0.95 }, 12, AdmissionPolicy::Shed)
+        }
+        1 => {
+            (CheckerKind::Linear, TuningMode::EnergyBudget { budget: 6 }, 4, AdmissionPolicy::Block)
+        }
+        _ => (CheckerKind::Ema, TuningMode::TargetQuality { toq: 0.9 }, 6, AdmissionPolicy::Shed),
+    };
+    // The third profile's queue-pressure fault collapses its queue bound
+    // mid-stream, so 503-style sheds deterministically appear in the
+    // conformance trace.
+    let spec = "non_finite=0.05,queue_pressure=16:5";
+    let faults = (tenant % 3 == 2).then(|| FaultPlan::parse(seed, spec).expect("a valid spec"));
+    SessionConfig {
+        seed,
+        checker,
+        mode,
+        window: 16,
+        queue: QueueConfig { input_capacity: queue, ..QueueConfig::default() },
+        admission,
+        faults,
+        ..SessionConfig::default()
     }
 }
 
@@ -107,7 +114,7 @@ fn drive_workload(
     let n = dataset.len();
 
     for t in 0..cfg.tenants {
-        let lines = send(t, &open_line(t, cfg.seed), "open")?;
+        let lines = send(t, &open_line(&format!("tenant-{t}"), &profile(t, cfg.seed)), "open")?;
         if lines.first().is_some_and(|l| l.starts_with("{\"type\":\"error\"")) {
             return Err(ServeError::InvalidConfig(lines[0].clone()));
         }

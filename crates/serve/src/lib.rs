@@ -27,6 +27,7 @@
 
 pub mod bench;
 pub mod client;
+pub mod config;
 pub mod protocol;
 pub mod registry;
 pub mod session;
@@ -35,10 +36,9 @@ pub mod snapshot;
 pub mod transport;
 
 pub use client::Client;
+pub use config::{AdmissionPolicy, CheckerKind, SessionConfig};
 pub use registry::{ServeRuntime, Submit};
-pub use session::{
-    AdmissionPolicy, CheckerKind, Session, SessionConfig, SessionResult, SessionStats,
-};
+pub use session::{Session, SessionResult, SessionStats};
 
 use std::fmt;
 

@@ -10,7 +10,7 @@
 //!
 //! | op         | fields                                                            |
 //! |------------|-------------------------------------------------------------------|
-//! | `open`     | `session` (required), `kernel`, `seed`, `checker`, `mode` (`toq`/`energy`/`best`), `toq`, `budget`, `window` (1..=1048576), `queue` (1..=16384), `admission` (`shed`/`block`), `faults` (spec string), `fault_seed`, `watchdog` (bool), `fix` (`reexecute`/`compensate`), `band` (compensation band, required with `fix=compensate`), `zoo` (tier count, 0..=8; 0 = single-model serving), `refit` (bool; arm the online checker re-fit at the watchdog's `Recalibrated` rung) |
+//! | `open`     | `session` (required) plus the keys of the session-config key table in [`crate::config`], each with one JSON type; missing keys take their defaults. Strict: an unknown key, a value of the wrong type, or a key that the chosen mode, fix or fault setting does not use is one `error` naming the key, and sizes are checked by `SessionConfig::validate` before any training |
 //! | `invoke`   | `session`, `input` (number array)                                 |
 //! | `drain`    | `session` (optional — omitted drains **all** sessions through one multiplexed scheduling round) |
 //! | `stats`    | `session`                                                         |
@@ -21,13 +21,11 @@
 
 use std::io::{Read, Write};
 
-use rumba_core::runtime::{FixPolicy, WatchdogConfig};
-use rumba_core::tuner::TuningMode;
-use rumba_faults::FaultPlan;
 use rumba_obs::json::{parse_object, JsonObject, JsonWriter, ObjectExt};
 
+use crate::config;
 use crate::registry::{ServeRuntime, Submit};
-use crate::session::{AdmissionPolicy, CheckerKind, SessionConfig, SessionResult, SessionStats};
+use crate::session::{SessionResult, SessionStats};
 use crate::transport::{request_loop, TornTail};
 use crate::ServeError;
 
@@ -65,76 +63,6 @@ pub(crate) fn closed_line(session: &str, stats: &SessionStats) -> String {
         .float("cpu_utilization", stats.cpu_utilization())
         .float("threshold", stats.final_threshold);
     w.finish()
-}
-
-fn parse_config(obj: &JsonObject) -> Result<SessionConfig, ServeError> {
-    let mut config = SessionConfig::default();
-    if let Some(kernel) = obj.string("kernel") {
-        config.kernel = kernel.to_owned();
-    }
-    if let Some(seed) = obj.count("seed") {
-        config.seed = seed;
-    }
-    if let Some(checker) = obj.string("checker") {
-        config.checker = CheckerKind::parse(checker)?;
-    }
-    let mode = obj.string("mode").unwrap_or("toq");
-    config.mode = match mode {
-        "toq" => {
-            let toq = obj.number("toq").unwrap_or(0.9);
-            TuningMode::TargetQuality { toq }
-        }
-        "energy" => {
-            let budget = obj.count("budget").unwrap_or(8) as usize;
-            TuningMode::EnergyBudget { budget }
-        }
-        "best" => TuningMode::BestQuality,
-        other => {
-            return Err(ServeError::InvalidConfig(format!(
-                "unknown mode {other:?} (expected toq, energy or best)"
-            )))
-        }
-    };
-    if let Some(window) = obj.count("window") {
-        config.window = window as usize;
-    }
-    if let Some(queue) = obj.count("queue") {
-        config.queue.input_capacity = queue as usize;
-    }
-    if let Some(admission) = obj.string("admission") {
-        config.admission = AdmissionPolicy::parse(admission)?;
-    }
-    if let Some(spec) = obj.string("faults") {
-        let fault_seed = obj.count("fault_seed").unwrap_or(config.seed);
-        let plan = FaultPlan::parse(fault_seed, spec).map_err(ServeError::InvalidConfig)?;
-        config.faults = (!plan.is_empty()).then_some(plan);
-    }
-    if obj.boolean("watchdog").unwrap_or(false) {
-        config.watchdog = Some(WatchdogConfig::default());
-    }
-    if let Some(zoo) = obj.count("zoo") {
-        config.zoo = zoo as usize;
-    }
-    if obj.boolean("refit").unwrap_or(false) {
-        config.refit = true;
-    }
-    match obj.string("fix") {
-        None | Some("reexecute") => {}
-        Some("compensate") => {
-            let band = obj.number("band").ok_or_else(|| {
-                ServeError::InvalidConfig(
-                    "fix \"compensate\" requires a \"band\" number".to_owned(),
-                )
-            })?;
-            config.fix_policy = FixPolicy::Compensate { band };
-        }
-        Some(other) => {
-            return Err(ServeError::InvalidConfig(format!(
-                "unknown fix policy {other:?} (expected reexecute or compensate)"
-            )))
-        }
-    }
-    Ok(config)
 }
 
 fn required_session<'a>(obj: &'a JsonObject, op: &str) -> Result<&'a str, String> {
@@ -187,15 +115,14 @@ fn handle_op(
     match op {
         "open" => {
             let name = required_session(obj, op)?;
-            let config = parse_config(obj).map_err(|e| e.to_string())?;
-            let kernel = config.kernel.clone();
-            let checker = config.checker.label();
+            let config = config::read_open(obj).map_err(|e| e.to_string())?;
             let threshold = rt.open(name, config).map_err(|e| e.to_string())?;
+            let session = rt.session(name).expect("opened session is open");
             let mut w = JsonWriter::object("ack");
             w.string("op", "open")
                 .string("session", name)
-                .string("kernel", &kernel)
-                .string("checker", checker)
+                .string("kernel", session.kernel_name())
+                .string("checker", session.checker().label())
                 .float("threshold", threshold);
             Ok((vec![w.finish()], false))
         }
@@ -332,13 +259,12 @@ pub fn serve_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{small_session, CheckerKind, SessionConfig};
     use crate::snapshot;
-    use rumba_faults::FaultModel;
+    use rumba_faults::{FaultModel, FaultPlan};
 
     fn open_line(name: &str) -> String {
-        format!(
-            "{{\"op\":\"open\",\"session\":\"{name}\",\"kernel\":\"gaussian\",\"seed\":7,\"window\":16,\"queue\":4}}"
-        )
+        config::open_line(name, &small_session(4))
     }
 
     fn restore_line(name: &str, state: &str) -> String {
@@ -411,19 +337,21 @@ mod tests {
         let open = |extra: &str| {
             format!("{{\"op\":\"open\",\"session\":\"big\",\"kernel\":\"gaussian\",{extra}}}")
         };
-        for extra in [
-            "\"queue\":1000000000000",
-            "\"queue\":1e300",
-            "\"queue\":16385",
-            "\"window\":1e300",
-            "\"zoo\":1000000000000",
-            "\"zoo\":9",
+        // A count past 2^53 is not a count at all: the key is named.
+        let huge = |key: &str| format!("key \\\"{key}\\\" must be an integer in 0..=");
+        for (extra, reason) in [
+            ("\"queue\":1000000000000", "must be in".to_owned()),
+            ("\"queue\":1e300", huge("queue")),
+            ("\"queue\":16385", "must be in".to_owned()),
+            ("\"window\":1e300", huge("window")),
+            ("\"zoo\":1000000000000", "must be in".to_owned()),
+            ("\"zoo\":9", "must be in".to_owned()),
         ] {
             let (lines, shutdown) = handle_line(&mut rt, &open(extra));
             assert!(!shutdown);
             assert_eq!(lines.len(), 1, "{lines:?}");
             assert!(lines[0].starts_with("{\"type\":\"error\",\"op\":\"open\""), "{}", lines[0]);
-            assert!(lines[0].contains("must be in"), "{}", lines[0]);
+            assert!(lines[0].contains(&reason), "{} lacks {reason}", lines[0]);
         }
         assert!(rt.is_empty());
 
@@ -465,8 +393,8 @@ mod tests {
     #[test]
     fn restore_under_a_different_checker_is_rejected_in_band() {
         let mut rt = ServeRuntime::new();
-        let open = open_line("t0").replacen("\"window\"", "\"checker\":\"ema\",\"window\"", 1);
-        handle_line(&mut rt, &open);
+        let ema = SessionConfig { checker: CheckerKind::Ema, ..small_session(4) };
+        handle_line(&mut rt, &config::open_line("t0", &ema));
         let dim = rt.session("t0").unwrap().input_dim();
         for k in 0..3 {
             handle_line(&mut rt, &invoke_line("t0", &vec![0.2 * k as f64; dim]));

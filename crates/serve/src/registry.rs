@@ -5,7 +5,8 @@ use rumba_core::runtime::approximate;
 use rumba_core::zoo::ModelZoo;
 use rumba_nn::{Matrix, NnError, Scratch};
 
-use crate::session::{Admit, PendingBatch, Session, SessionConfig, SessionResult, SessionStats};
+use crate::config::SessionConfig;
+use crate::session::{Admit, PendingBatch, Session, SessionResult, SessionStats};
 use crate::ServeError;
 
 /// Outcome of [`ServeRuntime::submit`].

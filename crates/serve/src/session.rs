@@ -5,208 +5,19 @@ use std::collections::VecDeque;
 
 use rumba_accel::{CheckerUnit, Npu};
 use rumba_apps::{kernel_by_name, Kernel, Split};
-use rumba_core::event_sim::{simulate_detailed_with_faults, QueueConfig};
+use rumba_core::event_sim::simulate_detailed_with_faults;
 use rumba_core::runtime::MAX_ZOO_PRESSURE;
-use rumba_core::runtime::{
-    approximate, FixPolicy, RefitConfig, RumbaSystem, RuntimeConfig, WatchdogConfig,
-};
+use rumba_core::runtime::{approximate, RefitConfig, RumbaSystem, RuntimeConfig};
 use rumba_core::trainer::{invocation_errors, train_app, OfflineConfig, TrainedApp};
 use rumba_core::tuner::{Tuner, TuningMode};
 use rumba_core::zoo::{train_zoo, ModelZoo};
-use rumba_faults::{FaultModel, FaultPlan};
 use rumba_nn::{Matrix, MatrixView, NnDataset, Scratch};
 use rumba_obs::words::WordReader;
 use rumba_obs::Event;
 use rumba_predict::{EmaDetector, ErrorEstimator};
 
+use crate::config::{self, AdmissionPolicy, CheckerKind, SessionConfig};
 use crate::{snapshot, ServeError};
-
-/// Largest `window` (iterations per tuning window) a session accepts.
-pub(crate) const MAX_WINDOW: usize = 1 << 20;
-/// Largest request-queue capacity a session accepts: the queue's rows are
-/// allocated when the session opens.
-pub(crate) const MAX_QUEUE: usize = 1 << 14;
-/// Largest model zoo a session accepts: every tier is trained at open,
-/// and by the eighth level down each hidden layer has shrunk to one unit.
-pub(crate) const MAX_ZOO: usize = 8;
-
-/// Which online checker a session runs. Mirrors the CLI's checker choice,
-/// restricted to the schemes that need no extra training pass at session
-/// open (the serving layer opens sessions on the request path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckerKind {
-    /// Linear per-output error model.
-    Linear,
-    /// Decision-tree error model (the paper's default).
-    #[default]
-    Tree,
-    /// Exponential-moving-average output-drift detector.
-    Ema,
-    /// Error value prediction (EVP).
-    Evp,
-}
-
-impl CheckerKind {
-    /// Parses the protocol spelling (`"linear"`, `"tree"`, `"ema"`,
-    /// `"evp"`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the accepted spellings.
-    pub fn parse(text: &str) -> Result<Self, ServeError> {
-        match text {
-            "linear" => Ok(Self::Linear),
-            "tree" => Ok(Self::Tree),
-            "ema" => Ok(Self::Ema),
-            "evp" => Ok(Self::Evp),
-            other => Err(ServeError::InvalidConfig(format!(
-                "unknown checker {other:?} (expected linear, tree, ema or evp)"
-            ))),
-        }
-    }
-
-    /// Protocol spelling of this checker.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Linear => "linear",
-            Self::Tree => "tree",
-            Self::Ema => "ema",
-            Self::Evp => "evp",
-        }
-    }
-}
-
-/// What happens when a request arrives and the session's bounded queue is
-/// full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionPolicy {
-    /// Reject the request (503-style). The caller is told and the
-    /// rejection is counted; nothing enters the pipeline.
-    #[default]
-    Shed,
-    /// Drain the session's queue through the pipeline first, then admit.
-    /// Trades latency for completeness; the queue bound still holds.
-    Block,
-}
-
-impl AdmissionPolicy {
-    /// Parses the protocol spelling (`"shed"` or `"block"`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the accepted spellings.
-    pub fn parse(text: &str) -> Result<Self, ServeError> {
-        match text {
-            "shed" => Ok(Self::Shed),
-            "block" => Ok(Self::Block),
-            other => Err(ServeError::InvalidConfig(format!(
-                "unknown admission policy {other:?} (expected shed or block)"
-            ))),
-        }
-    }
-
-    /// Protocol spelling of this policy.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Shed => "shed",
-            Self::Block => "block",
-        }
-    }
-}
-
-/// Everything needed to open a session. The calibration flow mirrors
-/// `rumba run`: train (or cache-load) the app, probe the checker on the
-/// train split, calibrate the firing threshold against the mode's error
-/// target.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionConfig {
-    /// Benchmark kernel name (Table 1 of the paper).
-    pub kernel: String,
-    /// Master seed for training, calibration and fault injection.
-    pub seed: u64,
-    /// Online checker scheme.
-    pub checker: CheckerKind,
-    /// Tuning mode (TOQ / energy budget / best quality).
-    pub mode: TuningMode,
-    /// Iterations per tuning window.
-    pub window: usize,
-    /// Pipeline queue bounds; `input_capacity` is also the session's
-    /// request-queue bound for admission control.
-    pub queue: QueueConfig,
-    /// Full-queue behaviour.
-    pub admission: AdmissionPolicy,
-    /// Optional deterministic fault plan, scoped to this session only.
-    pub faults: Option<FaultPlan>,
-    /// Optional quality watchdog for graceful degradation.
-    pub watchdog: Option<WatchdogConfig>,
-    /// What flagged invocations get: CPU re-execution (the default) or
-    /// in-place compensation for the mildly wrong band.
-    pub fix_policy: FixPolicy,
-    /// Model-zoo size: 0 (the default) serves the single Rumba
-    /// accelerator exactly as before; `N > 0` trains an `N`-tier
-    /// quality/energy ladder and routes every request to the cheapest
-    /// tier predicted to meet the session's quality target (exact CPU as
-    /// the last resort). Under queue pressure the session degrades to
-    /// cheaper tiers before any request is shed.
-    pub zoo: usize,
-    /// Opt-in online checker re-fit (`false`, the default, serves exactly
-    /// as before, byte for byte): when set, the session arms the
-    /// runtime's refit machinery — an exact-result audit channel feeding
-    /// a bounded deterministic reservoir, re-fit and threshold
-    /// re-calibration at the watchdog's `Recalibrated` rung — with the
-    /// session's own quality budget as the re-calibration target. The
-    /// reservoir and refit epoch travel in the snapshot, so a mid-refit
-    /// migration continues bit-for-bit.
-    pub refit: bool,
-}
-
-impl SessionConfig {
-    /// The one validator behind `open` and `restore`, run before any
-    /// training: every size a request line can set must lie within the
-    /// limits, so one line can neither exhaust the server's memory nor
-    /// make it train an unbounded ladder, and every fault rate must pass
-    /// [`FaultModel::validate`], the check the fault-spec parser runs.
-    pub(crate) fn validate(&self) -> Result<(), ServeError> {
-        let limits = [
-            ("window", self.window, 1, MAX_WINDOW),
-            ("queue capacity", self.queue.input_capacity, 1, MAX_QUEUE),
-            ("zoo", self.zoo, 0, MAX_ZOO),
-        ];
-        for (what, value, min, max) in limits {
-            if !(min..=max).contains(&value) {
-                return Err(ServeError::InvalidConfig(format!(
-                    "{what} must be in {min}..={max}, got {value}"
-                )));
-            }
-        }
-        self.faults
-            .iter()
-            .flat_map(FaultPlan::models)
-            .try_for_each(FaultModel::validate)
-            .map_err(ServeError::InvalidConfig)
-    }
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        Self {
-            kernel: "gaussian".to_owned(),
-            seed: 42,
-            checker: CheckerKind::default(),
-            mode: TuningMode::TargetQuality { toq: 0.9 },
-            window: 64,
-            queue: QueueConfig::default(),
-            admission: AdmissionPolicy::default(),
-            faults: None,
-            watchdog: None,
-            fix_policy: FixPolicy::default(),
-            zoo: 0,
-            refit: false,
-        }
-    }
-}
 
 /// One completed request, in submission order.
 #[derive(Debug, Clone, PartialEq)]
@@ -324,9 +135,6 @@ pub struct Session {
     name: String,
     kernel: Box<dyn Kernel>,
     system: RumbaSystem,
-    admission: AdmissionPolicy,
-    queue: QueueConfig,
-    fault_plan: Option<FaultPlan>,
     /// The full opening configuration, kept verbatim so a snapshot can
     /// reproduce this session on any shard or process.
     config: SessionConfig,
@@ -378,9 +186,10 @@ impl Session {
         let malformed = |e: String| ServeError::InvalidConfig(format!("snapshot: {e}"));
         let (kernel, words) = snapshot::decode(text).map_err(malformed)?;
         let mut r = WordReader::new(&words);
-        let config = snapshot::read_config(kernel, &mut r).map_err(malformed)?;
+        let config = config::read_words(kernel, &mut r).map_err(malformed)?;
         let kernel = Self::checked_kernel(&config)?;
-        let state = snapshot::read_state(&mut r, &config, kernel.as_ref()).map_err(malformed)?;
+        let capacity = config.queue.input_capacity;
+        let state = snapshot::read_state(&mut r, capacity, kernel.as_ref()).map_err(malformed)?;
         let app = train_app(kernel.as_ref(), &offline_config(&config))?;
         // The placeholder threshold never fires: `import_state` rebuilds
         // the tuner at the snapshotted threshold (and the calibration
@@ -413,7 +222,7 @@ impl Session {
         let inputs = &self.pending_inputs[..self.pending_rows * self.kernel.input_dim()];
         let runtime = self.system.export_state();
         let mut words = Vec::with_capacity(64 + runtime.len() + inputs.len());
-        snapshot::write_config(&self.config, &mut words);
+        config::write_words(&self.config, &mut words);
         snapshot::write_state(
             &mut words,
             &runtime,
@@ -518,9 +327,6 @@ impl Session {
             name: name.to_owned(),
             kernel,
             system,
-            admission: config.admission,
-            queue: config.queue,
-            fault_plan: config.faults.clone(),
             cpu_cycles,
             pending_inputs: Vec::with_capacity(config.queue.input_capacity * input_dim),
             pending_rows: 0,
@@ -572,12 +378,6 @@ impl Session {
         self.pending_rows
     }
 
-    /// Configured request-queue bound (before fault-induced pressure).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.queue.input_capacity
-    }
-
     /// Completed results waiting to be collected.
     #[must_use]
     pub fn results_ready(&self) -> usize {
@@ -596,10 +396,10 @@ impl Session {
         self.system.tuner().threshold()
     }
 
-    /// Admission policy.
+    /// Online checker scheme.
     #[must_use]
-    pub fn admission(&self) -> AdmissionPolicy {
-        self.admission
+    pub fn checker(&self) -> CheckerKind {
+        self.config.checker
     }
 
     /// This drain's NPU (shared-topology accelerator state is immutable
@@ -643,8 +443,8 @@ impl Session {
     /// instead of deadlocking.
     #[must_use]
     pub fn effective_capacity(&self) -> usize {
-        let cap = self.queue.input_capacity;
-        match &self.fault_plan {
+        let cap = self.config.queue.input_capacity;
+        match &self.config.faults {
             Some(plan) => {
                 let pressured = cap.saturating_sub(
                     plan.queue_pressure(self.system.stream_invocations() + self.pending_rows),
@@ -676,7 +476,7 @@ impl Session {
             if self.system.zoo().is_some() && rung < MAX_ZOO_PRESSURE {
                 self.system.set_zoo_pressure(rung + 1);
             }
-            return match self.admission {
+            return match self.config.admission {
                 AdmissionPolicy::Shed => {
                     self.stats.shed += 1;
                     self.emit_admission();
@@ -703,7 +503,7 @@ impl Session {
         if rumba_obs::enabled() {
             rumba_obs::global_sink().emit(&Event::Admission {
                 session: self.name.clone(),
-                policy: self.admission.label().to_owned(),
+                policy: self.config.admission.label().to_owned(),
                 queue_depth: self.pending_rows as u64,
                 capacity: self.effective_capacity() as u64,
                 shed_total: self.stats.shed,
@@ -775,8 +575,8 @@ impl Session {
             self.system.npu().cycles_per_invocation() as f64,
             self.cpu_cycles,
             &fired,
-            self.queue,
-            self.fault_plan.as_ref(),
+            self.config.queue,
+            self.config.faults.as_ref(),
         );
         self.stats.drains += 1;
         if run.back_pressured() {

@@ -315,6 +315,11 @@ impl Drop for Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{open_line, small_session};
+
+    fn open_req(name: &str) -> String {
+        open_line(name, &small_session(4))
+    }
 
     #[test]
     fn placement_is_pure_and_spread() {
@@ -328,10 +333,7 @@ mod tests {
     #[test]
     fn router_is_a_protocol_endpoint() {
         let router = Router::new(2);
-        let open = router.route(
-            "{\"op\":\"open\",\"session\":\"a\",\"kernel\":\"gaussian\",\"seed\":7,\
-             \"window\":16,\"queue\":4}",
-        );
+        let open = router.route(&open_req("a"));
         assert!(open[0].starts_with("{\"type\":\"ack\",\"op\":\"open\""), "{open:?}");
         let bad = router.route("not json");
         assert!(bad[0].starts_with("{\"type\":\"error\""), "{bad:?}");
@@ -346,11 +348,10 @@ mod tests {
     #[test]
     fn duplicate_names_are_rejected_across_the_pool() {
         let router = Router::new(3);
-        let line = "{\"op\":\"open\",\"session\":\"dup\",\"kernel\":\"gaussian\",\"seed\":7,\
-                    \"window\":16,\"queue\":4}";
-        assert!(router.route(line)[0].starts_with("{\"type\":\"ack\""));
+        let line = open_req("dup");
+        assert!(router.route(&line)[0].starts_with("{\"type\":\"ack\""));
         // Same name hashes to the same shard, whose runtime rejects it.
-        let again = router.route(line);
+        let again = router.route(&line);
         assert!(again[0].contains("already open"), "{again:?}");
         router.route("{\"op\":\"shutdown\"}");
     }

@@ -334,6 +334,7 @@ mod tests {
 
     use super::*;
     use crate::client::Client;
+    use crate::config::{open_line, small_session};
 
     fn read_all(input: &str, cap: usize) -> Vec<LineRead> {
         let mut reader = io::BufReader::new(input.as_bytes());
@@ -446,6 +447,11 @@ mod tests {
         (vec![format!("re:{line}")], false)
     }
 
+    /// Opens session `t0`, a small gaussian session with `queue` slots.
+    fn open_req(queue: usize) -> String {
+        open_line("t0", &small_session(queue))
+    }
+
     fn invoke_line(session: &str, input: &[f64]) -> String {
         let mut w = rumba_obs::json::JsonWriter::object("request");
         w.string("op", "invoke").string("session", session).floats("input", input);
@@ -456,10 +462,9 @@ mod tests {
     fn lockstep_requests_get_one_write_each() {
         use crate::protocol::handle_line;
         use crate::registry::ServeRuntime;
-        let open = "{\"op\":\"open\",\"session\":\"t0\",\"kernel\":\"gaussian\",\"seed\":7,\
-                    \"window\":16,\"queue\":32}";
+        let open = open_req(32);
         let mut reference = ServeRuntime::new();
-        handle_line(&mut reference, open);
+        handle_line(&mut reference, &open);
         let dim = reference.session("t0").unwrap().input_dim();
         let mut script: Vec<String> =
             (0..18).map(|i| invoke_line("t0", &vec![0.05 * f64::from(i); dim])).collect();
@@ -485,7 +490,7 @@ mod tests {
         );
 
         let mut rt = ServeRuntime::new();
-        handle_line(&mut rt, open);
+        handle_line(&mut rt, &open);
         let chunks: Vec<String> = script.iter().map(|l| format!("{l}\n")).collect();
         let chunks: Vec<&str> = chunks.iter().map(String::as_str).collect();
         let (result, log) = run_loop(&chunks, TornTail::Discard, |l| handle_line(&mut rt, l));
@@ -572,9 +577,7 @@ mod tests {
     fn tcp_server_round_trips_and_shuts_down() {
         let server = NetServer::bind_tcp("127.0.0.1:0", 2).unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
-        let open = "{\"op\":\"open\",\"session\":\"t0\",\"kernel\":\"gaussian\",\"seed\":7,\
-                    \"window\":16,\"queue\":4}";
-        let ack = client.request(open, "open").unwrap();
+        let ack = client.request(&open_req(4), "open").unwrap();
         assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"open\""), "{ack:?}");
         let down = client.request("{\"op\":\"shutdown\"}", "shutdown").unwrap();
         assert!(down.last().is_some_and(|l| l.contains("\"op\":\"shutdown\"")), "{down:?}");

@@ -23,13 +23,18 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use rumba_apps::{kernel_by_name, Split};
+use rumba_core::event_sim::QueueConfig;
+use rumba_core::runtime::{FixPolicy, WatchdogConfig};
+use rumba_core::tuner::TuningMode;
+use rumba_faults::FaultPlan;
 use rumba_nn::NnDataset;
 use rumba_obs::json::{parse_object, JsonWriter, ObjectExt};
 use rumba_serve::bench::{run_net_trace, run_trace, BenchConfig};
+use rumba_serve::config::open_line;
 use rumba_serve::protocol::handle_line;
 use rumba_serve::shard::{shard_of, Router};
 use rumba_serve::transport::NetServer;
-use rumba_serve::{Client, ServeRuntime};
+use rumba_serve::{CheckerKind, Client, ServeRuntime, SessionConfig};
 
 fn workload() -> &'static NnDataset {
     static DATA: OnceLock<NnDataset> = OnceLock::new();
@@ -39,13 +44,21 @@ fn workload() -> &'static NnDataset {
     })
 }
 
+/// An ema-checked session under a non-finite fault plan and the default
+/// watchdog.
+fn open_config() -> SessionConfig {
+    SessionConfig {
+        checker: CheckerKind::Ema,
+        window: 8,
+        queue: QueueConfig { input_capacity: 8, ..QueueConfig::default() },
+        faults: Some(FaultPlan::parse(42, "non_finite=0.05").unwrap()),
+        watchdog: Some(WatchdogConfig::default()),
+        ..SessionConfig::default()
+    }
+}
+
 fn open_req(name: &str) -> String {
-    format!(
-        "{{\"op\":\"open\",\"session\":\"{name}\",\"kernel\":\"gaussian\",\"seed\":42,\
-         \"checker\":\"ema\",\"mode\":\"toq\",\"toq\":0.9,\"window\":8,\"queue\":8,\
-         \"admission\":\"shed\",\"faults\":\"non_finite=0.05\",\"fault_seed\":42,\
-         \"watchdog\":true}}"
-    )
+    open_line(name, &open_config())
 }
 
 fn invoke_req(name: &str, input: &[f64]) -> String {
@@ -297,12 +310,17 @@ fn oversized_open_is_rejected_in_band_and_the_server_keeps_serving() {
     // Names on both shards, so each shard's thread sees a rejection.
     let (a, b) = split_names();
     for name in [a, b] {
-        for size in ["\"queue\":1000000000000", "\"queue\":1e300", "\"zoo\":1000000000000"] {
+        // A count past 2^53 is no count at all, and the error names the key.
+        for (size, reason) in [
+            ("\"queue\":1000000000000", "must be in"),
+            ("\"queue\":1e300", "key \\\"queue\\\" must be an integer"),
+            ("\"zoo\":1000000000000", "must be in"),
+        ] {
             let line = format!("{{\"op\":\"open\",\"session\":\"{name}\",{size}}}");
             let err = client.request(&line, "open").unwrap();
             assert_eq!(err.len(), 1, "{err:?}");
             assert!(err[0].starts_with("{\"type\":\"error\",\"op\":\"open\""), "{err:?}");
-            assert!(err[0].contains("must be in"), "{err:?}");
+            assert!(err[0].contains(reason), "{err:?} lacks {reason}");
         }
         let ack = client.request(&open_req(name), "open").unwrap();
         assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"open\""), "{ack:?}");
@@ -497,11 +515,8 @@ fn pipelined_requests_over_a_unix_socket_match_the_in_process_replay() {
 /// predicted error sits at or below `band` are repaired in place instead
 /// of queued for CPU re-execution.
 fn open_compensate_req(name: &str, band: f64) -> String {
-    open_req(name).replacen(
-        "\"watchdog\":true}",
-        &format!("\"watchdog\":true,\"fix\":\"compensate\",\"band\":{band}}}"),
-        1,
-    )
+    let fix_policy = FixPolicy::Compensate { band };
+    open_line(name, &SessionConfig { fix_policy, ..open_config() })
 }
 
 /// [`open_compensate_req`] at a quality target tight enough that the
@@ -510,7 +525,12 @@ fn open_compensate_req(name: &str, band: f64) -> String {
 /// compensate (at `toq = 0.9` only fault-injected non-finite scores fire,
 /// and those always sit above any band).
 fn open_compensate_tight_req(name: &str, band: f64) -> String {
-    open_compensate_req(name, band).replacen("\"toq\":0.9,", "\"toq\":0.995,", 1)
+    let config = SessionConfig {
+        mode: TuningMode::TargetQuality { toq: 0.995 },
+        fix_policy: FixPolicy::Compensate { band },
+        ..open_config()
+    };
+    open_line(name, &config)
 }
 
 /// A compensating session survives snapshot → restore → continue bit for

@@ -22,6 +22,7 @@ use rumba_core::tuner::TuningMode;
 use rumba_faults::FaultPlan;
 use rumba_nn::NnDataset;
 use rumba_obs::json::{parse_object, JsonWriter, ObjectExt};
+use rumba_serve::config::open_line;
 use rumba_serve::protocol::handle_line;
 use rumba_serve::shard::shard_of;
 use rumba_serve::transport::NetServer;
@@ -35,16 +36,19 @@ fn workload() -> &'static NnDataset {
     })
 }
 
-/// An open request arming the refit channel under a ramped `InputDrift`
-/// plan and the default watchdog — the open-world serving scenario the
-/// refit rung exists for.
-fn open_refit_req(name: &str) -> String {
-    format!(
-        "{{\"op\":\"open\",\"session\":\"{name}\",\"kernel\":\"gaussian\",\"seed\":42,\
-         \"checker\":\"tree\",\"mode\":\"toq\",\"toq\":0.9,\"window\":8,\"queue\":8,\
-         \"admission\":\"shed\",\"faults\":\"input_drift=8:16:2.0\",\"fault_seed\":42,\
-         \"watchdog\":true,\"refit\":true}}"
-    )
+/// An open request under a ramped `InputDrift` plan and the default
+/// watchdog — the open-world serving scenario the refit rung exists for —
+/// with the refit channel armed or not.
+fn open_drift_req(name: &str, refit: bool) -> String {
+    let config = SessionConfig {
+        window: 8,
+        queue: QueueConfig { input_capacity: 8, ..QueueConfig::default() },
+        faults: Some(FaultPlan::parse(42, "input_drift=8:16:2.0").unwrap()),
+        watchdog: Some(WatchdogConfig::default()),
+        refit,
+        ..SessionConfig::default()
+    };
+    open_line(name, &config)
 }
 
 /// A tree-checked session under a tight target, a ramped input drift and
@@ -179,7 +183,7 @@ fn reservoir_rows_accrue_in_the_snapshot_and_refit_off_stays_fixed_width() {
     let mut rt = ServeRuntime::new();
     replay(
         &mut rt,
-        &std::iter::once((open_refit_req("t0"), "open"))
+        &std::iter::once((open_drift_req("t0", true), "open"))
             .chain(invoke_script("t0", 0, 8))
             .collect::<Vec<_>>(),
     );
@@ -190,7 +194,7 @@ fn reservoir_rows_accrue_in_the_snapshot_and_refit_off_stays_fixed_width() {
 
     // Refit-off control under the identical script: the snapshot stays
     // one fixed width throughout.
-    let open_off = open_refit_req("t1").replace(",\"refit\":true", "");
+    let open_off = open_drift_req("t1", false);
     let mut rt = ServeRuntime::new();
     replay(
         &mut rt,

@@ -20,6 +20,7 @@ use rumba_core::tuner::TuningMode;
 use rumba_faults::{FaultModel, FaultPlan};
 use rumba_nn::NnDataset;
 use rumba_obs::json::JsonWriter;
+use rumba_serve::config::open_line;
 use rumba_serve::protocol::handle_line;
 use rumba_serve::transport::NetServer;
 use rumba_serve::{AdmissionPolicy, CheckerKind, Client, ServeRuntime, SessionConfig};
@@ -33,14 +34,15 @@ fn workload() -> &'static NnDataset {
 }
 
 /// An `open` request for a zoo-routed session; `tiers == 0` opens the
-/// plain single-model session with the byte-identical remaining config.
+/// plain single-model session with the same remaining config.
 fn open_zoo_req(name: &str, tiers: usize) -> String {
-    let zoo = if tiers > 0 { format!(",\"zoo\":{tiers}") } else { String::new() };
-    format!(
-        "{{\"op\":\"open\",\"session\":\"{name}\",\"kernel\":\"gaussian\",\"seed\":42,\
-         \"checker\":\"tree\",\"mode\":\"toq\",\"toq\":0.95,\"window\":8,\"queue\":16,\
-         \"admission\":\"shed\"{zoo}}}"
-    )
+    let config = SessionConfig {
+        mode: TuningMode::TargetQuality { toq: 0.95 },
+        window: 8,
+        zoo: tiers,
+        ..SessionConfig::default()
+    };
+    open_line(name, &config)
 }
 
 fn invoke_req(name: &str, input: &[f64]) -> String {

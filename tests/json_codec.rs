@@ -245,10 +245,16 @@ fn numbers_follow_the_json_grammar_and_stay_finite() {
 
 /// Re-writes a parsed object (when its values are in the writer's
 /// vocabulary) so a mutated line that still parses can be checked to
-/// round-trip.
+/// round-trip. The writer's leading `type` tag is the object's own `type`
+/// when it has one, so no key is written twice.
 fn rewrite(obj: &JsonObject) -> Option<String> {
-    let mut w = JsonWriter::object("t");
-    for (key, value) in obj {
+    let tag = match obj.get("type") {
+        None => "t",
+        Some(JsonValue::Str(tag)) => tag,
+        Some(_) => return None,
+    };
+    let mut w = JsonWriter::object(tag);
+    for (key, value) in obj.iter().filter(|(key, _)| *key != "type") {
         match value {
             JsonValue::Str(s) => w.string(key, s),
             JsonValue::Num(v) => w.float(key, *v),
@@ -353,4 +359,21 @@ fn mutated_request_lines_are_rejected_in_band() {
     }
     assert!(checked > 1000, "{checked} mutants");
     assert!(rt.is_empty(), "no mutant may open a session");
+}
+
+/// A key that appears twice is a parse error, not last-wins: the second
+/// `op` of this open line used to close every session and shut the
+/// server down.
+#[test]
+fn duplicate_keys_are_rejected_in_band() {
+    let line = r#"{"op":"open","session":"b","op":"shutdown"}"#;
+    assert_eq!(parse_object(line), Err("duplicate key \"op\"".to_owned()));
+    for line in [r#"{"a":1,"a":1}"#, r#"{ "a" : 1 , "b" : 2 , "a" : "x" }"#, r#"{"a":1,"a":2}"#] {
+        assert_eq!(parse_object(line), Err("duplicate key \"a\"".to_owned()), "{line}");
+    }
+    let mut rt = ServeRuntime::new();
+    let (lines, shutdown) = handle_line(&mut rt, line);
+    assert!(!shutdown, "{lines:?}");
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(lines[0].starts_with("{\"type\":\"error\",\"op\":\"parse\""), "{lines:?}");
 }
