@@ -113,7 +113,7 @@ RUMBA_THREADS=1 cargo test -q -p rumba-serve >/dev/null
 RUMBA_THREADS=4 cargo test -q -p rumba-serve >/dev/null
 echo "    rumba-serve suites green at RUMBA_THREADS=1 and 4"
 
-echo "==> word codecs in release: snapshot and cache mutation properties, word-reader cases"
+echo "==> codecs in release: snapshot and cache mutation properties, word-reader cases, invoke reader"
 # Every truncated, digit-flipped, overwritten or kernel-swapped snapshot
 # must be rejected or restore to a session that re-snapshots to the same
 # bytes; every truncated, digit-flipped or count-overwritten cache entry
@@ -123,10 +123,16 @@ echo "==> word codecs in release: snapshot and cache mutation properties, word-r
 # decode silently, so these suites run again here.
 cargo test -q --release -p rumba-serve --test snapshot_mutation >/dev/null
 cargo test -q --release -p rumba-serve --test cache_mutation >/dev/null
+# The borrowed invoke reader must answer every corpus and random line
+# byte for byte as the map-based decode did, and a steady-state invoke
+# must allocate only its response (release builds inline differently).
+cargo test -q --release --test invoke_reader >/dev/null
+cargo test -q --release -p rumba-serve --test invoke_alloc >/dev/null
 cargo test -q --release -p rumba-serve --lib -- snapshot:: config:: >/dev/null
 cargo test -q --release -p rumba-obs --lib -- words:: >/dev/null
 cargo test -q --release -p rumba-core --lib -- import_state zoo_pressure_above >/dev/null
-echo "    mutated snapshots and cache entries decode identically or not at all (release)"
+echo "    mutated snapshots and cache entries decode identically or not at all;"
+echo "    the invoke reader answers as the map decode did and allocates only its response (release)"
 
 echo "==> benchmark harness: perfbench builds and tests against the workspace crates"
 # perfbench depends on crates/* by path but sits outside the root

@@ -448,6 +448,10 @@ mod tests {
             "queue_pressure=1:-3",
             "non_finite=NaN",
             "checker_blind=2",
+            "stuck_at=0:NaN",
+            "stuck_at=0:-inf",
+            "input_drift=1:1:inf",
+            "input_drift=1:1:NaN",
         ] {
             assert!(FaultPlan::parse(0, bad).is_err(), "accepted {bad:?}");
         }
@@ -455,8 +459,14 @@ mod tests {
         let err = FaultPlan::parse(0, "bit_flip=1.5").unwrap_err();
         assert_eq!(err, format!("'bit_flip=1.5': {}", bit_flip(1.5).validate().unwrap_err()));
         assert!(bit_flip(1.0).validate().is_ok() && bit_flip(0.0).validate().is_ok());
-        let fixed = FaultModel::StuckAt { start: 0, value: f64::NAN };
-        assert!(fixed.validate().is_ok(), "only rates have a range");
+        let err = FaultPlan::parse(0, "stuck_at=0:NaN").unwrap_err();
+        assert_eq!(err, "'stuck_at=0:NaN': stuck_at value NaN is not finite");
+        let err = FaultPlan::parse(0, "input_drift=1:1:inf").unwrap_err();
+        assert_eq!(err, "'input_drift=1:1:inf': input_drift magnitude inf is not finite");
+        let stuck = |value| FaultModel::StuckAt { start: 0, value };
+        assert!(stuck(-1e300).validate().is_ok() && stuck(0.0).validate().is_ok());
+        let drift = |magnitude| FaultModel::InputDrift { start: 0, ramp: 0, magnitude };
+        assert!(drift(-2.5).validate().is_ok() && drift(f64::NEG_INFINITY).validate().is_err());
     }
 
     fn bit_flip(rate: f64) -> FaultModel {

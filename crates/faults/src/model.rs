@@ -106,19 +106,28 @@ impl FaultModel {
     }
 
     /// The one range check every way of building a plan runs: a strike
-    /// probability must lie in `[0, 1]` (NaN is rejected).
+    /// probability must lie in `[0, 1]` (NaN is rejected), and a stuck
+    /// value or drift magnitude must be finite (a NaN would make the plan
+    /// unequal to itself).
     ///
     /// # Errors
     ///
-    /// Returns a description naming the out-of-range rate.
+    /// Returns a description naming the out-of-range parameter.
     pub fn validate(&self) -> Result<(), String> {
+        let label = self.kind().label();
         match *self {
             FaultModel::BitFlip { rate }
             | FaultModel::NonFinite { rate }
             | FaultModel::CheckerBlind { rate }
                 if !(0.0..=1.0).contains(&rate) =>
             {
-                Err(format!("{} rate {rate} outside [0, 1]", self.kind().label()))
+                Err(format!("{label} rate {rate} outside [0, 1]"))
+            }
+            FaultModel::StuckAt { value, .. } if !value.is_finite() => {
+                Err(format!("{label} value {value} is not finite"))
+            }
+            FaultModel::InputDrift { magnitude, .. } if !magnitude.is_finite() => {
+                Err(format!("{label} magnitude {magnitude} is not finite"))
             }
             _ => Ok(()),
         }

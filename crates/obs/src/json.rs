@@ -5,11 +5,18 @@
 //! std-only; the writer and parser are exact inverses for everything
 //! [`crate::Event`] emits (`f64` fields are written in the bytes of Rust's
 //! shortest round-trip `{:?}`, so `write → parse` is bit-exact).
+//!
+//! There is one scanner. [`read_object`] walks an object's fields in text
+//! order and hands each value to a visitor as a [`JsonField`], refusing a
+//! repeated key; [`parse_object`] is the visitor that collects every field
+//! into a map, and a hot-path reader (the serving protocol's `invoke`)
+//! reads only the fields it needs, borrowing strings from the line and
+//! decoding number arrays straight into a buffer it reuses.
 
 mod dtoa;
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A parsed flat JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,6 +126,15 @@ impl JsonWriter {
     #[must_use]
     pub fn object(tag: &str) -> Self {
         Self::with_capacity(tag, 128)
+    }
+
+    /// Starts a request object: no `type` tag, since a request names its
+    /// `op` as an ordinary field.
+    #[must_use]
+    pub fn request() -> Self {
+        let mut w = Self { out: String::with_capacity(128) };
+        w.out.push('{');
+        w
     }
 
     /// [`JsonWriter::object`] with room for `bytes` of text, for callers
@@ -255,26 +271,51 @@ const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 ///
 /// Returns a human-readable description of the first syntax problem.
 pub fn parse_object(text: &str) -> Result<JsonObject, String> {
+    let mut obj = JsonObject::new();
+    read_object(text, |key, field| {
+        obj.insert(key.to_owned(), field.value()?);
+        Ok(())
+    })?;
+    Ok(obj)
+}
+
+/// Checks one flat JSON object against the grammar [`parse_object`]
+/// accepts and calls `visit` with each field's key and value, in text
+/// order. A value the visitor leaves unread is checked and skipped. Keys
+/// are unescaped before the visitor sees them, and a key that appears
+/// twice fails the read (`duplicate key "k"`) once its second value has
+/// been read, so a syntax error inside that value is reported first.
+///
+/// # Errors
+///
+/// The first syntax problem or repeated key, or the first error `visit`
+/// returns.
+pub fn read_object<'a>(
+    text: &'a str,
+    mut visit: impl FnMut(&str, JsonField<'_, 'a>) -> Result<(), String>,
+) -> Result<(), String> {
     let mut p = Parser { text, pos: 0 };
+    let mut keys = KeySet::default();
     p.skip_ws();
     p.expect(b'{')?;
-    let mut obj = JsonObject::new();
     p.skip_ws();
     if p.peek() == Some(b'}') {
         p.pos += 1;
     } else {
         loop {
             p.skip_ws();
-            let key = p.parse_string()?;
+            let key = p.parse_str()?;
             p.skip_ws();
             p.expect(b':')?;
             p.skip_ws();
-            let value = p.parse_value()?;
-            // A repeated key is refused rather than letting the last one win.
-            match obj.entry(key) {
-                Entry::Vacant(slot) => slot.insert(value),
-                Entry::Occupied(slot) => return Err(format!("duplicate key {:?}", slot.key())),
-            };
+            let start = p.pos;
+            visit(&key, JsonField { parser: &mut p })?;
+            // Every value is at least one byte, so an unmoved parser means
+            // an unread value.
+            if p.pos == start {
+                p.skip_value()?;
+            }
+            keys.insert(key)?;
             p.skip_ws();
             match p.next() {
                 Some(b',') => {}
@@ -287,7 +328,99 @@ pub fn parse_object(text: &str) -> Result<JsonObject, String> {
     if p.pos != p.text.len() {
         return Err(format!("trailing content at byte {}", p.pos));
     }
-    Ok(obj)
+    Ok(())
+}
+
+/// One field's value, positioned for [`read_object`]'s visitor. Each
+/// reader consumes it and checks the whole value against the grammar,
+/// whatever it returns.
+pub struct JsonField<'p, 'a> {
+    parser: &'p mut Parser<'a>,
+}
+
+impl<'a> JsonField<'_, 'a> {
+    /// The value, parsed.
+    ///
+    /// # Errors
+    ///
+    /// The value's first syntax problem.
+    pub fn value(self) -> Result<JsonValue, String> {
+        self.parser.parse_value()
+    }
+
+    /// The value if it is a string, borrowed from the text unless it holds
+    /// an escape; any other value reads as `None`.
+    ///
+    /// # Errors
+    ///
+    /// The value's first syntax problem.
+    pub fn string(self) -> Result<Option<Cow<'a, str>>, String> {
+        if self.parser.peek() == Some(b'"') {
+            self.parser.parse_str().map(Some)
+        } else {
+            self.parser.skip_value().map(|()| None)
+        }
+    }
+
+    /// Appends the value's elements to `out` and returns `true` when it is
+    /// an array of numbers; `null` elements read as NaN, as in
+    /// [`ObjectExt::numbers`]. Any other value returns `false`, and what
+    /// it appended to `out` is no row.
+    ///
+    /// # Errors
+    ///
+    /// The value's first syntax problem.
+    pub fn numbers_into(self, out: &mut Vec<f64>) -> Result<bool, String> {
+        let p = self.parser;
+        if p.peek() != Some(b'[') {
+            return p.skip_value().map(|()| false);
+        }
+        // A reused buffer keeps its room; a fresh one is sized once.
+        if out.len() == out.capacity() {
+            out.reserve(p.array_len_hint());
+        }
+        let mut numbers = true;
+        p.array(|p| {
+            match p.peek() {
+                Some(b'-' | b'0'..=b'9') => out.push(p.parse_number()?),
+                Some(b'n') => {
+                    p.parse_literal("null", JsonValue::Null)?;
+                    out.push(f64::NAN);
+                }
+                _ => {
+                    p.skip_value()?;
+                    numbers = false;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(numbers)
+    }
+}
+
+/// The keys an object has shown so far: a short list searched in place
+/// (requests carry a handful), then a set, so a line of many keys costs
+/// `O(n log n)`. Borrowed keys allocate nothing.
+#[derive(Default)]
+struct KeySet<'a> {
+    few: [Cow<'a, str>; 8],
+    len: usize,
+    many: BTreeSet<Cow<'a, str>>,
+}
+
+impl<'a> KeySet<'a> {
+    fn insert(&mut self, key: Cow<'a, str>) -> Result<(), String> {
+        if self.few[..self.len].contains(&key) || self.many.contains(&key) {
+            return Err(format!("duplicate key {key:?}"));
+        }
+        if self.len < self.few.len() {
+            self.few[self.len] = key;
+            self.len += 1;
+        } else {
+            self.many.insert(key);
+        }
+        Ok(())
+    }
 }
 
 struct Parser<'a> {
@@ -295,7 +428,7 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
@@ -321,45 +454,68 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
+            Some(b'"') => Ok(JsonValue::Str(self.parse_str()?.into_owned())),
             Some(b't') => self.parse_literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.parse_literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(b'[') => self.parse_array(),
+            Some(b'-' | b'0'..=b'9') => self.parse_number().map(JsonValue::Num),
+            Some(b'[') => {
+                let mut items = Vec::with_capacity(self.array_len_hint());
+                self.array(|p| {
+                    items.push(p.parse_value()?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Arr(items))
+            }
             other => Err(format!("unexpected value start {other:?}")),
         }
     }
 
-    /// A flat array of scalar values; nested arrays/objects stay outside
-    /// the dialect and are rejected.
-    fn parse_array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        // Sized once from the commas before the first ']': exact for the
-        // number vectors the protocol ships, an over-estimate bounded by
-        // the line length when a string element holds commas.
+    /// Checks one value and discards it; only a string with an escape
+    /// allocates.
+    fn skip_value(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'"') => self.parse_str().map(drop),
+            Some(b'[') => self.array(Self::skip_value),
+            _ => self.parse_value().map(drop),
+        }
+    }
+
+    /// The element count of the array starting here, from the commas
+    /// before the first ']': exact for the number vectors the protocol
+    /// ships, an over-estimate bounded by the line length when a string
+    /// element holds commas.
+    fn array_len_hint(&self) -> usize {
         let rest = &self.text.as_bytes()[self.pos..];
         let span = rest.iter().position(|&b| b == b']').unwrap_or(rest.len());
-        let mut items = Vec::with_capacity(rest[..span].iter().filter(|&&b| b == b',').count() + 1);
+        rest[..span].iter().filter(|&&b| b == b',').count() + 1
+    }
+
+    /// A flat array, handing `item` the parser at each element; nested
+    /// arrays stay outside the dialect and are rejected.
+    fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(b'[')?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
             if self.peek() == Some(b'[') {
                 return Err("nested arrays are not in the event dialect".into());
             }
-            items.push(self.parse_value()?);
+            item(self)?;
             self.skip_ws();
             match self.next() {
                 Some(b',') => {}
-                Some(b']') => break,
+                Some(b']') => return Ok(()),
                 other => return Err(format!("expected ',' or ']', got {other:?}")),
             }
         }
-        Ok(JsonValue::Arr(items))
     }
 
     fn parse_literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
@@ -374,7 +530,7 @@ impl Parser<'_> {
     /// A number in the JSON grammar, `-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?`,
     /// checked in the one scan that finds its end. A number that overflows
     /// to infinity is rejected: the writer could only echo it as `null`.
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
+    fn parse_number(&mut self) -> Result<f64, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -396,7 +552,7 @@ impl Parser<'_> {
         // The scanned bytes are ASCII, so both ends are char boundaries.
         let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
-            Ok(v) if ok && v.is_finite() => Ok(JsonValue::Num(v)),
+            Ok(v) if ok && v.is_finite() => Ok(v),
             _ => Err(format!("bad number '{text}'")),
         }
     }
@@ -410,11 +566,11 @@ impl Parser<'_> {
         self.pos - start
     }
 
-    /// A quoted string. With no escape before the closing quote it is one
-    /// copy of the borrowed slice; otherwise the text between escapes is
+    /// A quoted string, borrowed from the text when no escape comes
+    /// before the closing quote; otherwise the text between escapes is
     /// copied run by run. Quotes and backslashes are ASCII and never occur
     /// inside a multi-byte character, so every run is a `str` slice.
-    fn parse_string(&mut self) -> Result<String, String> {
+    fn parse_str(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
         let start = self.pos;
         let stop = self.text.as_bytes()[start..]
@@ -423,7 +579,7 @@ impl Parser<'_> {
             .ok_or("unterminated string")?;
         self.pos += stop;
         if self.next() == Some(b'"') {
-            return Ok(self.text[start..self.pos - 1].to_owned());
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
         }
         let mut out = String::with_capacity(stop + 16);
         out.push_str(&self.text[start..self.pos - 1]);
@@ -442,7 +598,7 @@ impl Parser<'_> {
             }
         }
         out.push_str(&self.text[run..self.pos - 1]);
-        Ok(out)
+        Ok(Cow::Owned(out))
     }
 
     /// The character an escape stands for; the backslash is consumed.

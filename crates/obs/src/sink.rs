@@ -94,18 +94,14 @@ pub struct JsonlSink {
 }
 
 impl JsonlSink {
-    /// Creates (truncating) the JSONL file at `path`.
+    /// Creates (truncating) the JSONL file at `path`. Its directory must
+    /// exist: a mistyped path fails here and leaves nothing behind.
     ///
     /// # Errors
     ///
     /// Propagates file-creation errors.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
         let file = File::create(&path)?;
         Ok(Self { path, writer: Mutex::new(BufWriter::new(file)) })
     }

@@ -95,9 +95,9 @@ pub fn profile(tenant: usize, seed: u64) -> SessionConfig {
 }
 
 fn invoke_line(tenant: usize, input: &[f64]) -> String {
-    let mut w = JsonWriter::object("request");
+    let mut w = JsonWriter::request();
     w.string("op", "invoke").string("session", &format!("tenant-{tenant}")).floats("input", input);
-    w.finish().replacen("\"type\":\"request\",", "", 1)
+    w.finish()
 }
 
 /// Drives the seeded workload: opens every tenant, submits the shuffled

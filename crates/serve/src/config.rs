@@ -336,7 +336,7 @@ pub fn read_open(obj: &JsonObject) -> Result<SessionConfig, ServeError> {
 /// without models as none.
 #[must_use]
 pub fn open_line(session: &str, c: &SessionConfig) -> String {
-    let mut w = JsonWriter::object("request");
+    let mut w = JsonWriter::request();
     w.string(OP.0, "open")
         .string(SESSION.0, session)
         .string(KERNEL.0, &c.kernel)
@@ -360,8 +360,7 @@ pub fn open_line(session: &str, c: &SessionConfig) -> String {
         w.float(BAND.0, band);
     }
     w.count(ZOO.0, c.zoo as u64).boolean(REFIT.0, c.refit);
-    // A request carries `op`, not the writer's leading `type` tag.
-    w.finish().replacen("\"type\":\"request\",", "", 1)
+    w.finish()
 }
 
 /// Appends the snapshot's config words — everything `Session::open` needs

@@ -6,6 +6,19 @@
 //! `error`). The dialect reuses the observability crate's codec, so the
 //! wire format shares its bit-exact float round-trip guarantees.
 //!
+//! Every line is decoded by [`read_request`], the one reader behind
+//! [`handle_line`] and the TCP router. An `invoke` is read field by field
+//! with [`read_object`], without a map: `op` and `session` are borrowed
+//! from the line (owned only when they hold an escape), and the `input`
+//! floats are decoded straight into a buffer the [`ServeRuntime`] reuses,
+//! so a steady-state invoke allocates only its response. Every other op
+//! is collected into a [`JsonObject`] by [`parse_object`] (the same
+//! scanner) and handled from the map. The reader accepts and answers what
+//! the map path did: any field order, `null` elements as NaN, extra keys
+//! ignored, a repeated key refused, and the same error bytes in the same
+//! order (syntax or repeated key, then `op`, `session`, `input`, then the
+//! submit error).
+//!
 //! Operations:
 //!
 //! | op         | fields                                                            |
@@ -19,9 +32,10 @@
 //! | `restore`  | `session`, `state` (a `snapshot` payload) — rebuild the session, bit-for-bit; the snapshot's config passes `open`'s validator (sizes, fault rates) and every word is checked before training |
 //! | `shutdown` | —                                                                 |
 
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
-use rumba_obs::json::{parse_object, JsonObject, JsonWriter, ObjectExt};
+use rumba_obs::json::{parse_object, read_object, JsonObject, JsonWriter, ObjectExt};
 
 use crate::config;
 use crate::registry::{ServeRuntime, Submit};
@@ -66,38 +80,110 @@ pub(crate) fn closed_line(session: &str, stats: &SessionStats) -> String {
 }
 
 fn required_session<'a>(obj: &'a JsonObject, op: &str) -> Result<&'a str, String> {
-    obj.string("session")
-        .filter(|s| !s.is_empty())
-        .ok_or_else(|| format!("op {op:?} requires a \"session\" field"))
+    obj.string("session").filter(|s| !s.is_empty()).ok_or_else(|| missing_session(op))
+}
+
+fn missing_session(op: &str) -> String {
+    format!("op {op:?} requires a \"session\" field")
 }
 
 /// Handles one request line against the runtime. Returns the response
 /// lines plus a flag that is true when the request asked for shutdown
 /// (all sessions are closed before the flag is returned).
 pub fn handle_line(rt: &mut ServeRuntime, line: &str) -> (Vec<String>, bool) {
-    match parse_request(line) {
-        Ok((op, obj)) => handle_request(rt, &op, &obj),
+    let mut input = std::mem::take(&mut rt.request_input);
+    let response = match read_request(line, &mut input) {
+        Ok(Request::Invoke { session }) => (vec![invoke(rt, &session, &input)], false),
+        Ok(Request::Other { op, obj }) => handle_request(rt, &op, &obj),
         Err(error) => (vec![error], false),
-    }
+    };
+    rt.request_input = input;
+    response
 }
 
-/// Parses one request line into its `op` and its fields. A line that is
-/// not a JSON object, or has no string `op`, yields its one `error`
-/// response line instead.
+/// One request line, decoded by [`read_request`].
+pub(crate) enum Request<'a> {
+    /// An `invoke` on a named session; its `input` row is in the buffer
+    /// the line was read with.
+    Invoke {
+        /// The session name, borrowed from the line unless it holds an
+        /// escape.
+        session: Cow<'a, str>,
+    },
+    /// Any other op, with the line's fields as a map.
+    Other {
+        /// The op name.
+        op: String,
+        /// Every field of the line.
+        obj: JsonObject,
+    },
+}
+
+/// Decodes one request line. An `invoke` is read without a map: its
+/// session name is borrowed and its `input` floats are decoded into
+/// `input` (cleared first), so a caller that reuses the buffer allocates
+/// nothing here. Any other op is collected into a [`JsonObject`].
 ///
 /// # Errors
 ///
-/// The error response line for an unparsable request.
-pub(crate) fn parse_request(line: &str) -> Result<(String, JsonObject), String> {
-    let obj = parse_object(line).map_err(|msg| error_line("parse", &msg))?;
-    let Some(op) = obj.string("op").map(str::to_owned) else {
+/// The one `error` response line of a request that fails here, in this
+/// order: a syntax error or repeated key, a missing string `op`, then for
+/// an `invoke` a missing or empty `session` and a missing `input` number
+/// array.
+pub(crate) fn read_request<'a>(line: &'a str, input: &mut Vec<f64>) -> Result<Request<'a>, String> {
+    let (mut op, mut session, mut numbers) = (None, None, false);
+    input.clear();
+    read_object(line, |key, field| {
+        match key {
+            "op" => op = field.string()?,
+            "session" => session = field.string()?,
+            "input" => numbers = field.numbers_into(input)?,
+            _ => {}
+        }
+        Ok(())
+    })
+    .map_err(|msg| error_line("parse", &msg))?;
+    let Some(op) = op else {
         return Err(error_line("none", "request is missing the \"op\" field"));
     };
-    Ok((op, obj))
+    if op != "invoke" {
+        // The line already passed the same scanner, so this cannot fail.
+        let obj = parse_object(line).map_err(|msg| error_line("parse", &msg))?;
+        return Ok(Request::Other { op: op.into_owned(), obj });
+    }
+    let session = session
+        .filter(|s| !s.is_empty())
+        .ok_or_else(|| error_line("invoke", &missing_session("invoke")))?;
+    if !numbers {
+        return Err(error_line("invoke", "op \"invoke\" requires an \"input\" number array"));
+    }
+    Ok(Request::Invoke { session })
 }
 
-/// Handles one parsed request (see [`parse_request`]); the result is
-/// [`handle_line`]'s for the line it was parsed from.
+/// Submits one decoded `invoke` and renders its one response line: an
+/// `ack`, a `shed`, or the submit error.
+pub(crate) fn invoke(rt: &mut ServeRuntime, name: &str, input: &[f64]) -> String {
+    match rt.submit(name, input) {
+        Ok(Submit::Accepted { depth, blocked }) => {
+            let mut w = JsonWriter::object("ack");
+            w.string("op", "invoke")
+                .string("session", name)
+                .count("queued", depth as u64)
+                .boolean("blocked", blocked);
+            w.finish()
+        }
+        Ok(Submit::Shed) => {
+            let shed_total = rt.session(name).map_or(0, |s| s.stats().shed);
+            let mut w = JsonWriter::object("shed");
+            w.string("session", name).count("code", 503).count("shed_total", shed_total);
+            w.finish()
+        }
+        Err(e) => error_line("invoke", &e.to_string()),
+    }
+}
+
+/// Handles one request that [`read_request`] collected into a map; the
+/// result is [`handle_line`]'s for the line it was read from.
 pub(crate) fn handle_request(
     rt: &mut ServeRuntime,
     op: &str,
@@ -125,28 +211,6 @@ fn handle_op(
                 .string("checker", session.checker().label())
                 .float("threshold", threshold);
             Ok((vec![w.finish()], false))
-        }
-        "invoke" => {
-            let name = required_session(obj, op)?;
-            let input = obj
-                .numbers("input")
-                .ok_or_else(|| "op \"invoke\" requires an \"input\" number array".to_owned())?;
-            match rt.submit(name, &input).map_err(|e| e.to_string())? {
-                Submit::Accepted { depth, blocked } => {
-                    let mut w = JsonWriter::object("ack");
-                    w.string("op", "invoke")
-                        .string("session", name)
-                        .count("queued", depth as u64)
-                        .boolean("blocked", blocked);
-                    Ok((vec![w.finish()], false))
-                }
-                Submit::Shed => {
-                    let shed_total = rt.session(name).map_or(0, |s| s.stats().shed);
-                    let mut w = JsonWriter::object("shed");
-                    w.string("session", name).count("code", 503).count("shed_total", shed_total);
-                    Ok((vec![w.finish()], false))
-                }
-            }
         }
         "drain" => {
             let mut lines = Vec::new();
@@ -268,16 +332,15 @@ mod tests {
     }
 
     fn restore_line(name: &str, state: &str) -> String {
-        let mut w = JsonWriter::object("ignored");
+        let mut w = JsonWriter::request();
         w.string("op", "restore").string("session", name).string("state", state);
-        w.finish().replacen("\"type\":\"ignored\",", "", 1)
+        w.finish()
     }
 
     fn invoke_line(name: &str, input: &[f64]) -> String {
-        let mut w = JsonWriter::object("ignored");
+        let mut w = JsonWriter::request();
         w.string("op", "invoke").string("session", name).floats("input", input);
-        // Strip the writer's mandatory type tag: requests carry "op" only.
-        w.finish().replacen("\"type\":\"ignored\",", "", 1)
+        w.finish()
     }
 
     #[test]
@@ -379,6 +442,17 @@ mod tests {
         });
         let (lines, _) = handle_line(&mut rt, &restore_line("t1", &edited));
         assert!(lines[0].contains("outside [0, 1]"), "{}", lines[0]);
+        // So is a non-finite stuck value or drift magnitude.
+        for model in [
+            FaultModel::StuckAt { start: 0, value: f64::NAN },
+            FaultModel::InputDrift { start: 1, ramp: 1, magnitude: f64::INFINITY },
+        ] {
+            let edited = snapshot::edit_config(&state, |c| {
+                c.faults = Some(FaultPlan::new(1).with(model));
+            });
+            let (lines, _) = handle_line(&mut rt, &restore_line("t1", &edited));
+            assert!(lines[0].contains("is not finite"), "{}", lines[0]);
+        }
         let (lines, _) = handle_line(&mut rt, "{\"op\":\"stats\",\"session\":\"t0\"}");
         assert!(lines[0].starts_with("{\"type\":\"stats\""), "{}", lines[0]);
         assert!(rt.session("t1").is_none());

@@ -45,6 +45,10 @@ pub enum Submit {
 #[derive(Debug, Default)]
 pub struct ServeRuntime {
     sessions: Vec<Session>,
+    /// The buffer [`crate::protocol::handle_line`] decodes each invoke's
+    /// `input` row into, kept so a steady stream of invokes allocates no
+    /// float vector.
+    pub(crate) request_input: Vec<f64>,
 }
 
 impl ServeRuntime {

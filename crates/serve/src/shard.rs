@@ -9,9 +9,10 @@
 //! which is what lets a snapshot restored under the same name land on
 //! the same shard (and one restored under a new name migrate).
 //!
-//! The [`Router`] is the only shared object: it parses each request line
-//! once, picks the shard from the parsed `session`, hands the parsed
-//! request to that shard, and blocks on the reply — so a connection
+//! The [`Router`] is the only shared object: it decodes each request line
+//! once (with the protocol's reader, so an `invoke` builds no map), picks
+//! the shard from the decoded `session`, hands the decoded request to that
+//! shard, and blocks on the reply — so a connection
 //! observes its own requests in order while different connections
 //! proceed in parallel on different shards. Shards never see raw lines.
 //! The two global operations are handled here instead of in a shard:
@@ -31,7 +32,9 @@ use std::thread::JoinHandle;
 use rumba_obs::json::{JsonObject, ObjectExt};
 use rumba_obs::Event;
 
-use crate::protocol::{closed_line, error_line, handle_request, parse_request, result_line};
+use crate::protocol::{
+    closed_line, error_line, handle_request, invoke, read_request, result_line, Request,
+};
 use crate::registry::ServeRuntime;
 
 /// Which shard owns a session: FNV-1a over the session name, mod the
@@ -52,8 +55,10 @@ pub fn shard_of(session: &str, shards: usize) -> usize {
 type Groups = Vec<(String, Vec<String>)>;
 
 enum ShardMsg {
-    /// One parsed protocol request for a session this shard owns (or a
-    /// sessionless single-line op; those are shard-independent).
+    /// One decoded `invoke` on a session this shard owns.
+    Invoke { session: String, input: Vec<f64>, reply: Sender<Vec<String>> },
+    /// Any other parsed protocol request for a session this shard owns
+    /// (or a sessionless single-line op; those are shard-independent).
     Request { op: String, obj: JsonObject, reply: Sender<Vec<String>> },
     /// Global drain: run one multiplexed scheduling round over this
     /// shard's sessions and return their result lines, grouped.
@@ -76,6 +81,9 @@ fn shard_loop(index: u64, rx: &Receiver<ShardMsg>) {
     while let Ok(msg) = rx.recv() {
         requests += 1;
         match msg {
+            ShardMsg::Invoke { session, input, reply } => {
+                let _ = reply.send(vec![invoke(&mut rt, &session, &input)]);
+            }
             ShardMsg::Request { op, obj, reply } => {
                 let (lines, _) = handle_request(&mut rt, &op, &obj);
                 let _ = reply.send(lines);
@@ -177,17 +185,30 @@ impl Router {
 
     /// Routes one request line and returns its response lines, in order:
     /// byte for byte what [`crate::protocol::handle_line`] answers on a
-    /// solo runtime. The line is parsed here, once; an unparsable line is
-    /// answered here, and any other request goes to its shard already
-    /// parsed. Blocks until the owning shard has processed the request,
+    /// solo runtime. The line is decoded here, once (an `invoke` by the
+    /// same borrowed reader as `handle_line`, without a map); a line that
+    /// fails to decode is answered here, and any other request goes to its
+    /// shard already decoded. Blocks until the owning shard has processed the request,
     /// so each connection sees its own requests answered strictly in
     /// order.
     pub fn route(&self, line: &str) -> Vec<String> {
         if self.is_closed() {
             return vec![error_line("route", "server is shutting down")];
         }
-        let (op, obj) = match parse_request(line) {
-            Ok(request) => request,
+        // An invoke's floats go to the shard in a vector of their own;
+        // the router never builds a map for one.
+        let mut input = Vec::new();
+        let (op, obj) = match read_request(line, &mut input) {
+            Ok(Request::Invoke { session }) => {
+                let shard = shard_of(&session, self.senders.len());
+                let session = session.into_owned();
+                return self.ask(shard, "invoke", |reply| ShardMsg::Invoke {
+                    session,
+                    input,
+                    reply,
+                });
+            }
+            Ok(Request::Other { op, obj }) => (op, obj),
             Err(error) => return vec![error],
         };
         let session = obj.string("session").filter(|s| !s.is_empty()).map(str::to_owned);
@@ -199,18 +220,28 @@ impl Router {
                 // the single-line kind fail identically on any shard, so
                 // shard 0 answers them.
                 let shard = session.as_deref().map_or(0, |s| shard_of(s, self.senders.len()));
-                let (tx, rx) = channel();
-                let msg = ShardMsg::Request { op: op.clone(), obj, reply: tx };
-                if self.senders[shard].send(msg).is_err() {
-                    return vec![error_line(&op, "server is shutting down")];
-                }
-                let Ok(lines) = rx.recv() else {
-                    return vec![error_line(&op, "server is shutting down")];
-                };
+                let lines =
+                    self.ask(shard, &op, |reply| ShardMsg::Request { op: op.clone(), obj, reply });
                 self.note_effect(&op, session.as_deref(), &lines);
                 lines
             }
         }
+    }
+
+    /// Sends one request to `shard` and blocks on its response lines.
+    fn ask(
+        &self,
+        shard: usize,
+        op: &str,
+        msg: impl FnOnce(Sender<Vec<String>>) -> ShardMsg,
+    ) -> Vec<String> {
+        let (tx, rx) = channel();
+        if self.senders[shard].send(msg(tx)).is_ok() {
+            if let Ok(lines) = rx.recv() {
+                return lines;
+            }
+        }
+        vec![error_line(op, "server is shutting down")]
     }
 
     /// Tracks session lifecycle from response shapes: successful opens and

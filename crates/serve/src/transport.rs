@@ -453,9 +453,9 @@ mod tests {
     }
 
     fn invoke_line(session: &str, input: &[f64]) -> String {
-        let mut w = rumba_obs::json::JsonWriter::object("request");
+        let mut w = rumba_obs::json::JsonWriter::request();
         w.string("op", "invoke").string("session", session).floats("input", input);
-        w.finish().replacen("\"type\":\"request\",", "", 1)
+        w.finish()
     }
 
     #[test]

@@ -139,7 +139,7 @@ proptest! {
 
 /// Renders `fields` in order as one request line, duplicates included.
 fn render(fields: &[(String, JsonValue)]) -> String {
-    let mut w = JsonWriter::object("request");
+    let mut w = JsonWriter::request();
     for (key, value) in fields {
         match value {
             JsonValue::Str(s) => w.string(key, s),
@@ -149,7 +149,7 @@ fn render(fields: &[(String, JsonValue)]) -> String {
             JsonValue::Arr(_) => w.floats(key, &[1.0]),
         };
     }
-    w.finish().replacen("\"type\":\"request\",", "", 1)
+    w.finish()
 }
 
 /// Values of other JSON types than `value`, and — for a whole number —
@@ -318,6 +318,28 @@ fn lines_that_opened_a_default_session_now_name_their_key() {
         let message = parse_object(&lines[0]).unwrap()["message"].clone();
         let JsonValue::Str(message) = message else { panic!("{lines:?}") };
         assert!(message.contains(&reason), "{line}: {message:?} lacks {reason:?}");
+    }
+    assert!(rt.is_empty());
+}
+
+/// A stuck value or drift magnitude that is not finite is refused like an
+/// out-of-range rate: a NaN would make the config unequal to itself.
+#[test]
+fn non_finite_fault_parameters_are_rejected_in_band() {
+    let mut rt = ServeRuntime::new();
+    for spec in [
+        "stuck_at=0:NaN",
+        "stuck_at=3:inf",
+        "input_drift=1:1:inf",
+        "input_drift=0:4:-inf",
+        "input_drift=0:4:NaN",
+        "bit_flip=0.01,stuck_at=0:-inf",
+    ] {
+        let mut w = JsonWriter::request();
+        w.string("op", "open").string("session", "a").string("faults", spec);
+        let (lines, shutdown) = handle_line(&mut rt, &w.finish());
+        assert!(!shutdown && is_error(&lines), "{spec}: {lines:?}");
+        assert!(lines[0].contains("is not finite"), "{spec}: {lines:?}");
     }
     assert!(rt.is_empty());
 }

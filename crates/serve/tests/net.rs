@@ -62,9 +62,9 @@ fn open_req(name: &str) -> String {
 }
 
 fn invoke_req(name: &str, input: &[f64]) -> String {
-    let mut w = JsonWriter::object("request");
+    let mut w = JsonWriter::request();
     w.string("op", "invoke").string("session", name).floats("input", input);
-    w.finish().replacen("\"type\":\"request\",", "", 1)
+    w.finish()
 }
 
 /// The per-session op script the multi-client/solo comparison runs: the
@@ -192,9 +192,9 @@ fn snapshot_restore_continue_is_bitwise_identical() {
     drop(rt);
 
     let mut rt = ServeRuntime::new();
-    let mut w = JsonWriter::object("request");
+    let mut w = JsonWriter::request();
     w.string("op", "restore").string("session", "t0").string("state", &state);
-    let restore_req = w.finish().replacen("\"type\":\"request\",", "", 1);
+    let restore_req = w.finish();
     let (ack, _) = handle_line(&mut rt, &restore_req);
     assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"restore\""), "{ack:?}");
 
@@ -246,9 +246,9 @@ fn snapshot_migrates_to_another_shard_under_a_new_name() {
     let state = parse_object(&snap[0]).unwrap().string("state").expect("state").to_owned();
     client.request(&format!("{{\"op\":\"close\",\"session\":\"{old}\"}}"), "close").unwrap();
 
-    let mut w = JsonWriter::object("request");
+    let mut w = JsonWriter::request();
     w.string("op", "restore").string("session", new).string("state", &state);
-    let restore_req = w.finish().replacen("\"type\":\"request\",", "", 1);
+    let restore_req = w.finish();
     let ack = client.request(&restore_req, "restore").unwrap();
     assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"restore\""), "{ack:?}");
 
@@ -411,12 +411,12 @@ fn corpus() -> Vec<String> {
     let snap = lines.iter().map(|l| handle_line(&mut rt, l).0).last().expect("non-empty corpus");
     let state = parse_object(&snap[0]).unwrap().string("state").expect("state").to_owned();
     let restore = |name: &str, state: Option<&str>| {
-        let mut w = JsonWriter::object("request");
+        let mut w = JsonWriter::request();
         w.string("op", "restore").string("session", name);
         if let Some(state) = state {
             w.string("state", state);
         }
-        w.finish().replacen("\"type\":\"request\",", "", 1)
+        w.finish()
     };
     lines.push(restore("migrant", Some("rumba-session-snapshot v0 garbage")));
     lines.push(restore("migrant", None));
@@ -560,9 +560,9 @@ fn compensating_snapshot_restore_continue_is_bitwise_identical() {
     drop(rt);
 
     let mut rt = ServeRuntime::new();
-    let mut w = JsonWriter::object("request");
+    let mut w = JsonWriter::request();
     w.string("op", "restore").string("session", "t0").string("state", &state);
-    let restore_req = w.finish().replacen("\"type\":\"request\",", "", 1);
+    let restore_req = w.finish();
     let (ack, _) = handle_line(&mut rt, &restore_req);
     assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"restore\""), "{ack:?}");
     let continued = replay(&mut rt, &tail);

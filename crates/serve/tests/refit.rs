@@ -87,9 +87,9 @@ fn serve_until_refit(rt: &mut ServeRuntime, name: &str) -> usize {
 }
 
 fn invoke_req(name: &str, input: &[f64]) -> String {
-    let mut w = JsonWriter::object("request");
+    let mut w = JsonWriter::request();
     w.string("op", "invoke").string("session", name).floats("input", input);
-    w.finish().replacen("\"type\":\"request\",", "", 1)
+    w.finish()
 }
 
 fn drain_req(name: &str) -> String {
@@ -132,9 +132,9 @@ fn snapshot_state(rt: &mut ServeRuntime, name: &str) -> String {
 }
 
 fn restore_req(name: &str, state: &str) -> String {
-    let mut w = JsonWriter::object("request");
+    let mut w = JsonWriter::request();
     w.string("op", "restore").string("session", name).string("state", state);
-    w.finish().replacen("\"type\":\"request\",", "", 1)
+    w.finish()
 }
 
 /// Word count of the snapshot. The scripts below leave no queued rows

@@ -46,9 +46,9 @@ fn open_zoo_req(name: &str, tiers: usize) -> String {
 }
 
 fn invoke_req(name: &str, input: &[f64]) -> String {
-    let mut w = JsonWriter::object("request");
+    let mut w = JsonWriter::request();
     w.string("op", "invoke").string("session", name).floats("input", input);
-    w.finish().replacen("\"type\":\"request\",", "", 1)
+    w.finish()
 }
 
 fn drain_req(name: &str) -> String {
