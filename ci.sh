@@ -113,7 +113,7 @@ RUMBA_THREADS=1 cargo test -q -p rumba-serve >/dev/null
 RUMBA_THREADS=4 cargo test -q -p rumba-serve >/dev/null
 echo "    rumba-serve suites green at RUMBA_THREADS=1 and 4"
 
-echo "==> codecs in release: snapshot and cache mutation properties, word-reader cases, invoke reader"
+echo "==> codecs in release: snapshot and cache mutation properties, word-reader cases, invoke reader, batched inference allocations"
 # Every truncated, digit-flipped, overwritten or kernel-swapped snapshot
 # must be rejected or restore to a session that re-snapshots to the same
 # bytes; every truncated, digit-flipped or count-overwritten cache entry
@@ -128,11 +128,16 @@ cargo test -q --release -p rumba-serve --test cache_mutation >/dev/null
 # must allocate only its response (release builds inline differently).
 cargo test -q --release --test invoke_reader >/dev/null
 cargo test -q --release -p rumba-serve --test invoke_alloc >/dev/null
+# Once its workspace has seen the largest tile, a batched forward (float,
+# grid-quantized and fixed point, with and without an input edit, scalar
+# and vector dispatch, 1 to 645 rows) must allocate nothing.
+cargo test -q --release -p rumba-nn --test predict_alloc >/dev/null
 cargo test -q --release -p rumba-serve --lib -- snapshot:: config:: >/dev/null
 cargo test -q --release -p rumba-obs --lib -- words:: >/dev/null
 cargo test -q --release -p rumba-core --lib -- import_state zoo_pressure_above >/dev/null
 echo "    mutated snapshots and cache entries decode identically or not at all;"
 echo "    the invoke reader answers as the map decode did and allocates only its response (release)"
+echo "    steady-state batched inference allocates nothing (release)"
 
 echo "==> benchmark harness: perfbench builds and tests against the workspace crates"
 # perfbench depends on crates/* by path but sits outside the root

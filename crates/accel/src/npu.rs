@@ -3,7 +3,7 @@
 //! onto processing elements.
 
 use rumba_faults::FaultPlan;
-use rumba_nn::{FixedModel, Matrix, MatrixView, NnError, Scratch, TrainedModel};
+use rumba_nn::{FixedModel, Matrix, MatrixView, NnError, RowEdit, Scratch, TrainedModel};
 
 /// Microarchitectural parameters of the accelerator.
 ///
@@ -156,8 +156,8 @@ impl Npu {
         Ok(NpuResult { outputs, cycles: self.cycles_per_invocation })
     }
 
-    /// Evaluates many invocations through the cache-blocked batched model
-    /// path, writing row `i`'s outputs into `out.row(i)` and returning the
+    /// Evaluates many invocations through the row-tile batched model path,
+    /// writing row `i`'s outputs into `out.row(i)` and returning the
     /// per-invocation cycle cost (a constant of the configuration, so one
     /// number covers the whole batch). Row chunks fan out over the
     /// deterministic pool; each row is bit-identical to [`Npu::invoke`] at
@@ -194,39 +194,7 @@ impl Npu {
         scratch: &mut Scratch,
         out: &mut Matrix,
     ) -> Result<u64, NnError> {
-        // Input drift corrupts the accelerator's input-FIFO view, so the
-        // drifted copy is built before the (parallel) batch compute; output
-        // corruption is applied serially afterwards. Both are pure
-        // functions of (seed, invocation, element), so the result is
-        // bit-identical to per-row `invoke_at` calls at any thread count.
-        let drifted;
-        let effective = match &self.fault_plan {
-            Some(plan) if plan.has_input_faults() => {
-                let mut flat = inputs.as_slice().to_vec();
-                let cols = inputs.cols().max(1);
-                for (row, chunk) in flat.chunks_mut(cols).enumerate() {
-                    plan.drift_input(base + row, chunk);
-                }
-                drifted = flat;
-                MatrixView::new(&drifted, inputs.rows(), inputs.cols())
-            }
-            _ => inputs,
-        };
-        match (&self.fixed, self.params.precision_bits) {
-            (Some(fixed), _) => fixed.predict_batch(effective, scratch, out)?,
-            (None, Some(bits)) => {
-                self.model.predict_batch_quantized(effective, bits, scratch, out)?;
-            }
-            (None, None) => self.model.predict_batch(effective, scratch, out)?,
-        }
-        if let Some(plan) = &self.fault_plan {
-            if plan.has_output_faults() {
-                for row in 0..out.rows() {
-                    plan.corrupt_output(base + row, out.row_mut(row));
-                }
-            }
-        }
-        Ok(self.cycles_per_invocation)
+        self.invoke_keyed(|row| base + row, inputs, scratch, out)
     }
 
     /// [`Npu::invoke_batch_at`] for a *gathered* batch: row `i` of
@@ -253,31 +221,45 @@ impl Npu {
         out: &mut Matrix,
     ) -> Result<u64, NnError> {
         assert_eq!(positions.len(), inputs.rows(), "one stream position per gathered row");
-        let drifted;
-        let effective = match &self.fault_plan {
-            Some(plan) if plan.has_input_faults() => {
-                let mut flat = inputs.as_slice().to_vec();
-                let cols = inputs.cols().max(1);
-                for (row, chunk) in flat.chunks_mut(cols).enumerate() {
-                    plan.drift_input(positions[row], chunk);
-                }
-                drifted = flat;
-                MatrixView::new(&drifted, inputs.rows(), inputs.cols())
+        self.invoke_keyed(|row| positions[row], inputs, scratch, out)
+    }
+
+    /// The one batched invocation body: row `i` of `inputs` is stream
+    /// invocation `position(i)` for every fault decision. Input drift
+    /// corrupts the accelerator's input-FIFO view, so it is applied to
+    /// each row as the model loads it (an edit into the workspace's
+    /// staging row, no copy of the batch); output corruption is applied
+    /// serially afterwards. Both are pure functions of (seed, invocation,
+    /// element), so the result is bit-identical to per-row
+    /// [`Npu::invoke_at`] calls at any thread count.
+    fn invoke_keyed(
+        &self,
+        position: impl Fn(usize) -> usize + Sync,
+        inputs: MatrixView<'_>,
+        scratch: &mut Scratch,
+        out: &mut Matrix,
+    ) -> Result<u64, NnError> {
+        let plan = self.fault_plan.as_ref();
+        let position = &position;
+        let drift = plan.filter(|plan| plan.has_input_faults()).map(|plan| {
+            move |row: usize, values: &mut [f64]| {
+                plan.drift_input(position(row), values);
             }
-            _ => inputs,
-        };
-        match (&self.fixed, self.params.precision_bits) {
-            (Some(fixed), _) => fixed.predict_batch(effective, scratch, out)?,
-            (None, Some(bits)) => {
-                self.model.predict_batch_quantized(effective, bits, scratch, out)?;
-            }
-            (None, None) => self.model.predict_batch(effective, scratch, out)?,
+        });
+        let edit = drift.as_ref().map(|drift| drift as &RowEdit<'_>);
+        match &self.fixed {
+            Some(fixed) => fixed.predict_batch_with(inputs, edit, scratch, out)?,
+            None => self.model.predict_batch_with(
+                inputs,
+                self.params.precision_bits,
+                edit,
+                scratch,
+                out,
+            )?,
         }
-        if let Some(plan) = &self.fault_plan {
-            if plan.has_output_faults() {
-                for (row, &position) in positions.iter().enumerate() {
-                    plan.corrupt_output(position, out.row_mut(row));
-                }
+        if let Some(plan) = plan.filter(|plan| plan.has_output_faults()) {
+            for row in 0..out.rows() {
+                plan.corrupt_output(position(row), out.row_mut(row));
             }
         }
         Ok(self.cycles_per_invocation)

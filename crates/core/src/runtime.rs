@@ -1349,7 +1349,7 @@ impl RumbaSystem {
     ///
     /// The rows go through the same route → approximate → replay steps as
     /// [`RumbaSystem::process`], a chunk at a time: the accelerator is
-    /// pure, so each chunk's outputs are one cache-blocked batched
+    /// pure, so each chunk's outputs are one row-tile batched
     /// invocation (rows fan out over the deterministic pool), and the
     /// stateful replay then runs serially over the chunk's rows, which
     /// keeps every decision — and the merged stream — bit-identical to

@@ -15,9 +15,11 @@
 //! activation function (the accelerator's lookup-table stage), then
 //! re-quantized; the output layer leaves application-unit `f64`s.
 
-use crate::matrix::FixedScratch;
 use crate::simd::{self, Isa};
-use crate::{Activation, Matrix, MatrixView, NnError, Normalizer, Result, Scratch, TrainedModel};
+use crate::walk::{input_row, TileScratch, TILE_ROWS};
+use crate::{
+    Activation, Matrix, MatrixView, NnError, Normalizer, Result, RowEdit, Scratch, TrainedModel,
+};
 
 /// Widest usable Q-format fraction: 14 fractional bits keeps `i16` weights
 /// in `(-4, 4)` with headroom and the `i32` bias scale at `2^28`.
@@ -224,8 +226,9 @@ impl FixedModel {
         Ok(out)
     }
 
-    /// Batched counterpart of [`FixedModel::predict`]: row chunks fan out
-    /// over the deterministic pool, every row is bit-identical to the
+    /// Batched counterpart of [`FixedModel::predict`]: tiles of
+    /// [`crate::TILE_ROWS`] rows walk through every layer, row chunks fan
+    /// out over the deterministic pool, every row is bit-identical to the
     /// serial path at any thread count and under any SIMD dispatch, and a
     /// reused `scratch`/`out` pair allocates nothing in steady state on
     /// the single-thread path.
@@ -240,6 +243,24 @@ impl FixedModel {
         scratch: &mut Scratch,
         out: &mut Matrix,
     ) -> Result<()> {
+        self.predict_batch_with(inputs, None, scratch, out)
+    }
+
+    /// [`FixedModel::predict_batch`] with an optional per-row `edit`
+    /// applied to each input row before the input normalizer, as
+    /// [`TrainedModel::predict_batch_with`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::NnError::DimensionMismatch`] if `inputs` has the
+    /// wrong width.
+    pub fn predict_batch_with(
+        &self,
+        inputs: MatrixView<'_>,
+        edit: Option<&RowEdit<'_>>,
+        scratch: &mut Scratch,
+        out: &mut Matrix,
+    ) -> Result<()> {
         if inputs.cols() != self.input_dim {
             return Err(NnError::DimensionMismatch {
                 expected: self.input_dim,
@@ -249,54 +270,66 @@ impl FixedModel {
         }
         let n = inputs.rows();
         out.resize(n, self.output_dim);
+        let isa = simd::active_isa();
+        simd::note_dispatch(isa);
         let pool = rumba_parallel::ThreadPool::new();
         if pool.threads() <= 1 {
-            self.predict_rows_into(inputs, scratch, out.as_mut_slice());
+            self.predict_rows_into(inputs, 0, edit, isa, &mut scratch.tiles, out.as_mut_slice());
         } else {
             let out_dim = self.output_dim;
             pool.par_chunks_mut(out.as_mut_slice(), out_dim, |_c, range, chunk_out| {
-                let mut local = Scratch::new();
                 let sub = inputs.rows_range(range.start, range.end);
-                self.predict_rows_into(sub, &mut local, chunk_out);
+                let mut local = TileScratch::default();
+                self.predict_rows_into(sub, range.start, edit, isa, &mut local, chunk_out);
             });
         }
         Ok(())
     }
 
-    /// Serial batched path: normalize and quantize the input rows, ping-pong
-    /// the `i16` activations through the layers, devolve the output layer to
-    /// `f64`, invert the output normalizer.
-    fn predict_rows_into(&self, inputs: MatrixView<'_>, scratch: &mut Scratch, out: &mut [f64]) {
-        let isa = simd::active_isa();
-        simd::note_dispatch(isa);
+    /// Serial batched path over the batch rows from `base` on, one tile of
+    /// [`TILE_ROWS`] rows at a time: edit, normalize and quantize the
+    /// tile's input rows, ping-pong the `i16` activations through the
+    /// layers, devolve the output layer to `f64`, invert the output
+    /// normalizer.
+    fn predict_rows_into(
+        &self,
+        inputs: MatrixView<'_>,
+        base: usize,
+        edit: Option<&RowEdit<'_>>,
+        isa: Isa,
+        tiles: &mut TileScratch,
+        out: &mut [f64],
+    ) {
         let s = self.scale();
         let n = inputs.rows();
-        let Scratch { staged, fixed, .. } = scratch;
-        staged.resize(n, inputs.cols());
-        staged.as_mut_slice().copy_from_slice(inputs.as_slice());
-        for r in 0..n {
-            self.input_norm.apply(staged.row_mut(r));
-        }
-        let FixedScratch { qa, qb } = fixed;
-        let staged_flat = staged.as_slice();
-        {
-            let qa = ensure_len_i16(qa, n * self.input_dim);
-            for (dst, &v) in qa.iter_mut().zip(staged_flat) {
-                *dst = quant16(v, s);
-            }
-        }
+        let widest = self.layers.iter().map(|l| l.out_dim).fold(self.input_dim, usize::max);
+        let TileScratch { qa, qb, staged, .. } = tiles;
+        let cap = n.min(TILE_ROWS) * widest;
+        let (mut cur, mut nxt) = (ensure_len_i16(qa, cap), ensure_len_i16(qb, cap));
         let last = self.layers.len() - 1;
-        for (li, layer) in self.layers.iter().enumerate() {
-            if li == last {
-                layer.forward_rows_f64(n, &qa[..n * layer.in_dim], out, isa, s);
-            } else {
-                let dst = ensure_len_i16(qb, n * layer.out_dim);
-                layer.forward_rows_q(n, &qa[..n * layer.in_dim], dst, isa, s);
-                std::mem::swap(qa, qb);
+        for r0 in (0..n).step_by(TILE_ROWS) {
+            let rows = (n - r0).min(TILE_ROWS);
+            for (r, dst) in
+                cur[..rows * self.input_dim].chunks_exact_mut(self.input_dim).enumerate()
+            {
+                let row = input_row(inputs, r0 + r, base, edit, Some(&self.input_norm), staged);
+                for (d, &v) in dst.iter_mut().zip(row) {
+                    *d = quant16(v, s);
+                }
             }
-        }
-        for row in out.chunks_mut(self.output_dim) {
-            self.output_norm.invert(row);
+            let tile_out = &mut out[r0 * self.output_dim..(r0 + rows) * self.output_dim];
+            for (li, layer) in self.layers.iter().enumerate() {
+                let src = &cur[..rows * layer.in_dim];
+                if li == last {
+                    layer.forward_rows_f64(rows, src, tile_out, isa, s);
+                } else {
+                    layer.forward_rows_q(rows, src, &mut nxt[..rows * layer.out_dim], isa, s);
+                    std::mem::swap(&mut cur, &mut nxt);
+                }
+            }
+            for row in tile_out.chunks_mut(self.output_dim) {
+                self.output_norm.invert(row);
+            }
         }
     }
 }

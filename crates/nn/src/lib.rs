@@ -9,8 +9,9 @@
 //! - [`Trainer`]: mini-batch stochastic gradient descent with momentum,
 //! - [`NnDataset`]: flat, row-major training data container,
 //! - [`Normalizer`]: min-max feature scaling recorded at training time,
-//! - [`Matrix`]/[`Scratch`]: contiguous row-major batches plus reusable
-//!   workspaces backing the zero-allocation, cache-blocked batched paths,
+//! - [`Matrix`]/[`Scratch`]: contiguous row-major batches plus reusable,
+//!   tile-bounded workspaces backing the zero-allocation batched paths,
+//!   which walk [`TILE_ROWS`]-row tiles through every layer,
 //! - [`TrainedModel`]: normalizing wrapper bundling the above,
 //! - [`TopologySearch`]: the paper's "accelerator trainer" that picks the
 //!   smallest topology meeting an error cap (at most two hidden layers of at
@@ -50,6 +51,7 @@ mod model;
 mod simd;
 mod topology;
 mod trainer;
+mod walk;
 
 pub use activation::Activation;
 pub use config_words::{decode_model, encode_model, MODEL_MAGIC};
@@ -62,6 +64,7 @@ pub use model::TrainedModel;
 pub use simd::{active_isa, detected_isa, set_simd_override, simd_mode, Isa, SimdMode};
 pub use topology::{TopologyCandidate, TopologySearch, TopologySearchReport};
 pub use trainer::{TrainParams, TrainReport, Trainer};
+pub use walk::{RowEdit, TILE_ROWS};
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, NnError>;

@@ -5,8 +5,11 @@
 //! `Vec<Vec<f64>>`: one flat allocation per matrix, grow-only resizing, and
 //! borrowed views so callers can hand out sub-ranges of rows without
 //! copying. Together with [`Scratch`] this gives the hot path a
-//! zero-allocation steady state — after the first call at a given shape,
-//! repeated batched invocations perform no heap allocation at all.
+//! zero-allocation steady state — once the workspace has seen one full
+//! tile of a model, repeated batched invocations perform no heap
+//! allocation at all.
+
+use crate::walk::TileScratch;
 
 /// An owned row-major `rows × cols` matrix of `f64`.
 ///
@@ -214,10 +217,9 @@ impl<'a> MatrixViewMut<'a> {
     }
 }
 
-/// Lane workspace for the SIMD batched kernels: the transpose-packed input
-/// tile, the per-neuron padded accumulator row, and the hoisted
-/// (pre-quantized) per-layer weight/bias copies of the quantized path. All
-/// grow-only `Vec`s, preserving the zero-allocation steady state.
+/// Lane workspace of the trainer's SIMD layer kernel: the transpose-packed
+/// input tile and the per-neuron padded accumulator row. Grow-only `Vec`s,
+/// preserving the zero-allocation steady state.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LaneScratch {
     /// Transpose-packed input tile: `in_dim` features × `rp` padded rows,
@@ -226,36 +228,22 @@ pub(crate) struct LaneScratch {
     pub(crate) xt: Vec<f64>,
     /// One output neuron's accumulators across the padded tile rows.
     pub(crate) yt: Vec<f64>,
-    /// Per-layer hoisted quantized weights (the quantization grid is a
-    /// pure per-element function, so hoisting is bit-identical to the old
-    /// per-element rounding in the inner loop — just not redundant).
-    pub(crate) qw: Vec<f64>,
-    /// Per-layer hoisted quantized biases.
-    pub(crate) qb: Vec<f64>,
-}
-
-/// Integer workspace for the fixed-point forward path: ping-pong i16
-/// activation buffers (grow-only, like everything else here).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FixedScratch {
-    pub(crate) qa: Vec<i16>,
-    pub(crate) qb: Vec<i16>,
 }
 
 /// Reusable workspace for the batched forward/predict paths.
 ///
-/// Holds the ping-pong activation buffers (`a`/`b`) the layer loop
-/// alternates between, a staging buffer for normalized inputs, the SIMD
-/// lane workspace, and the fixed-point integer buffers. All are grow-only,
-/// so a `Scratch` reused across calls reaches a zero-allocation steady
-/// state after the first call at the largest batch shape.
+/// Holds the tile workspace of the row-tile walker (lane-major `f64`
+/// activation tiles, `i16` tiles for the fixed-point path, one staging
+/// row for edited inputs) and the quantized path's grid-rounded parameter
+/// copies. Every buffer is grow-only and bounded by one tile of the
+/// widest layer or by the model's parameter count — none grows with the
+/// batch — so a `Scratch` reused across calls allocates nothing once it
+/// has seen a full tile of the model it runs.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
-    pub(crate) a: Matrix,
-    pub(crate) b: Matrix,
-    pub(crate) staged: Matrix,
-    pub(crate) lanes: LaneScratch,
-    pub(crate) fixed: FixedScratch,
+    pub(crate) tiles: TileScratch,
+    pub(crate) grid_weights: Vec<f64>,
+    pub(crate) grid_biases: Vec<f64>,
 }
 
 impl Scratch {

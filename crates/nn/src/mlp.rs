@@ -3,11 +3,13 @@ use rand::{Rng, SeedableRng};
 
 use crate::matrix::LaneScratch;
 use crate::simd::{self, Isa};
-use crate::{Activation, Matrix, MatrixView, NnError, Result, Scratch};
+use crate::walk::{FloatWalk, Grid, RowEdit, TileScratch};
+use crate::{Activation, Matrix, MatrixView, NnError, Normalizer, Result, Scratch};
 
-/// Cache-block tile sizes for the batched layer kernel: `ROW_BLOCK` batch
-/// rows × `COL_BLOCK` output neurons per tile, sized so one tile's weight
-/// rows and input rows stay resident in L1 while they are reused.
+/// Cache-block tile sizes for the trainer's batched layer kernel:
+/// `ROW_BLOCK` batch rows × `COL_BLOCK` output neurons per tile, sized so
+/// one tile's weight rows and input rows stay resident in L1 while they
+/// are reused.
 const ROW_BLOCK: usize = 32;
 const COL_BLOCK: usize = 16;
 
@@ -84,18 +86,21 @@ impl Layer {
     /// and the activated outputs are all rounded to a `2^-bits` grid — the
     /// behaviour of an analog or reduced-width digital implementation.
     fn forward_into_quantized(&self, input: &[f64], output: &mut [f64], bits: u32) {
-        self.forward_batch_into_quantized(
-            1,
-            input,
-            output,
-            bits,
-            Isa::Scalar,
-            &mut LaneScratch::default(),
-        );
+        let scale = f64::from(1u32 << bits.min(30));
+        let q = |v: f64| (v * scale).round() / scale;
+        for (o, out_val) in output.iter_mut().enumerate() {
+            let row = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
+            let mut acc = q(self.biases[o]);
+            for (&w, x) in row.iter().zip(input) {
+                acc += q(w) * x;
+            }
+            *out_val = q(self.activation.apply(acc));
+        }
     }
 
-    /// Cache-blocked batched evaluation of `n` rows (`input` is flat
-    /// row-major `n × in_dim`, `output` `n × out_dim`).
+    /// The trainer's cache-blocked batched evaluation of `n` rows (`input`
+    /// is flat row-major `n × in_dim`, `output` `n × out_dim`); inference
+    /// walks row tiles through all layers instead (`walk.rs`).
     ///
     /// Blocking only reorders *which* `(row, neuron)` output element is
     /// produced when; each element's inner dot product is the exact serial
@@ -115,21 +120,7 @@ impl Layer {
         debug_assert_eq!(input.len(), n * self.in_dim);
         debug_assert_eq!(output.len(), n * self.out_dim);
         if isa.lanes_f64() > 1 && n >= isa.lanes_f64() {
-            let LaneScratch { xt, yt, .. } = lanes;
-            tile_lanes(
-                self.in_dim,
-                self.out_dim,
-                self.activation,
-                n,
-                input,
-                output,
-                isa,
-                xt,
-                yt,
-                &self.weights,
-                &self.biases,
-                None,
-            );
+            tile_lanes(self, n, input, output, isa, lanes);
             return;
         }
         for r0 in (0..n).step_by(ROW_BLOCK) {
@@ -151,99 +142,27 @@ impl Layer {
             }
         }
     }
-
-    /// Quantized counterpart of [`Layer::forward_batch_into`]; same tiling,
-    /// same per-element rounding as the serial quantized path.
-    ///
-    /// The grid-rounded weights and biases are hoisted into `lanes` once
-    /// per call instead of re-deriving `q(w)` for every `(row, element)`
-    /// pair in the inner loop; the grid is a pure per-element function, so
-    /// the output bits are unchanged.
-    pub(crate) fn forward_batch_into_quantized(
-        &self,
-        n: usize,
-        input: &[f64],
-        output: &mut [f64],
-        bits: u32,
-        isa: Isa,
-        lanes: &mut LaneScratch,
-    ) {
-        debug_assert_eq!(input.len(), n * self.in_dim);
-        debug_assert_eq!(output.len(), n * self.out_dim);
-        let scale = f64::from(1u32 << bits.min(30));
-        let q = |v: f64| (v * scale).round() / scale;
-        let LaneScratch { xt, yt, qw, qb } = lanes;
-        let qw = simd::ensure_len(qw, self.weights.len());
-        for (dst, &w) in qw.iter_mut().zip(&self.weights) {
-            *dst = q(w);
-        }
-        let qb = simd::ensure_len(qb, self.biases.len());
-        for (dst, &b) in qb.iter_mut().zip(&self.biases) {
-            *dst = q(b);
-        }
-        if isa.lanes_f64() > 1 && n >= isa.lanes_f64() {
-            tile_lanes(
-                self.in_dim,
-                self.out_dim,
-                self.activation,
-                n,
-                input,
-                output,
-                isa,
-                xt,
-                yt,
-                qw,
-                qb,
-                Some(scale),
-            );
-            return;
-        }
-        for r0 in (0..n).step_by(ROW_BLOCK) {
-            let r1 = (r0 + ROW_BLOCK).min(n);
-            for o0 in (0..self.out_dim).step_by(COL_BLOCK) {
-                let o1 = (o0 + COL_BLOCK).min(self.out_dim);
-                for r in r0..r1 {
-                    let input_row = &input[r * self.in_dim..(r + 1) * self.in_dim];
-                    let output_row = &mut output[r * self.out_dim..(r + 1) * self.out_dim];
-                    for (o, out_val) in (o0..).zip(output_row[o0..o1].iter_mut()) {
-                        let row = &qw[o * self.in_dim..(o + 1) * self.in_dim];
-                        let mut acc = qb[o];
-                        for (w, x) in row.iter().zip(input_row) {
-                            acc += w * x;
-                        }
-                        *out_val = q(self.activation.apply(acc));
-                    }
-                }
-            }
-        }
-    }
 }
 
-/// The SIMD batched layer kernel: lanes are batch rows.
+/// The trainer's SIMD batched layer kernel: lanes are batch rows.
 ///
 /// Each `ROW_BLOCK` tile of input rows is transpose-packed into `xt`
 /// (feature-major, rows padded to the lane width), then every output
 /// neuron is evaluated across all tile rows at once — per row the exact
 /// serial reduction (`bias`, then one multiply-then-add per feature,
 /// ascending). Padding lanes compute finite garbage that is never
-/// unpacked. `quant_scale` applies the quantized path's output rounding;
-/// its hoisted weights/biases arrive via `weights`/`biases`.
-#[allow(clippy::too_many_arguments)]
+/// unpacked.
 fn tile_lanes(
-    in_dim: usize,
-    out_dim: usize,
-    act: Activation,
+    layer: &Layer,
     n: usize,
     input: &[f64],
     output: &mut [f64],
     isa: Isa,
-    xt: &mut Vec<f64>,
-    yt: &mut Vec<f64>,
-    weights: &[f64],
-    biases: &[f64],
-    quant_scale: Option<f64>,
+    lanes: &mut LaneScratch,
 ) {
+    let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
     let lw = isa.lanes_f64();
+    let LaneScratch { xt, yt } = lanes;
     for r0 in (0..n).step_by(ROW_BLOCK) {
         let r1 = (r0 + ROW_BLOCK).min(n);
         let rows = r1 - r0;
@@ -258,19 +177,11 @@ fn tile_lanes(
             }
         }
         let yt = simd::ensure_len(yt, rp);
-        for (o, (wrow, &bias)) in weights.chunks_exact(in_dim).zip(biases).enumerate() {
+        for (o, (wrow, &bias)) in layer.weights.chunks_exact(in_dim).zip(&layer.biases).enumerate()
+        {
             simd::neuron_rows_dispatch(isa, wrow, bias, xt, rp, yt);
-            match quant_scale {
-                None => {
-                    for (r, &acc) in yt[..rows].iter().enumerate() {
-                        output[(r0 + r) * out_dim + o] = act.apply(acc);
-                    }
-                }
-                Some(scale) => {
-                    for (r, &acc) in yt[..rows].iter().enumerate() {
-                        output[(r0 + r) * out_dim + o] = (act.apply(acc) * scale).round() / scale;
-                    }
-                }
+            for (r, &acc) in yt[..rows].iter().enumerate() {
+                output[(r0 + r) * out_dim + o] = layer.activation.apply(acc);
             }
         }
     }
@@ -438,14 +349,15 @@ impl Mlp {
         Ok(cur)
     }
 
-    /// Evaluates the network on many input rows through the cache-blocked
-    /// batched kernel, fanning row chunks out over the deterministic pool.
+    /// Evaluates the network on many input rows, walking tiles of
+    /// [`crate::TILE_ROWS`] rows through every layer, with row chunks
+    /// fanned out over the deterministic pool.
     ///
-    /// `scratch` holds the reusable activation workspaces: after the first
-    /// call at a given batch shape, repeated calls perform no heap
-    /// allocation (on the single-thread path; the threaded path allocates
-    /// one bounded workspace per chunk). Each row's result is bit-identical
-    /// to [`Mlp::forward`] — at any thread count.
+    /// `scratch` holds the reusable tile workspace: once it has seen the
+    /// call's largest tile, repeated calls perform no heap allocation (on
+    /// the single-thread path; the threaded path allocates one tile-bounded
+    /// workspace per chunk). Each row's result is bit-identical to
+    /// [`Mlp::forward`] — at any thread count.
     ///
     /// # Errors
     ///
@@ -472,7 +384,7 @@ impl Mlp {
         scratch: &mut Scratch,
         out: &mut Matrix,
     ) -> Result<()> {
-        self.forward_batch_with(inputs, None, scratch, out)
+        self.walk_batch(inputs, None, None, None, scratch, out)
     }
 
     /// Batched counterpart of [`Mlp::forward_quantized`]; bit-identical to
@@ -489,13 +401,22 @@ impl Mlp {
         scratch: &mut Scratch,
         out: &mut Matrix,
     ) -> Result<()> {
-        self.forward_batch_with(inputs, Some(bits), scratch, out)
+        self.walk_batch(inputs, Some(bits), None, None, scratch, out)
     }
 
-    fn forward_batch_with(
+    /// Every batched float inference path: the width check, one ISA
+    /// resolution (recorded in telemetry; dispatch never changes the
+    /// produced bits), the quantized path's grid-rounded parameters hoisted
+    /// once, then the row-tile walker (`walk.rs`) over the batch — serially
+    /// through `scratch`, or per pool chunk with a private tile workspace.
+    /// `norms` are the input and output normalizers around the network;
+    /// `edit` sees each row's batch index.
+    pub(crate) fn walk_batch(
         &self,
         inputs: MatrixView<'_>,
         quant: Option<u32>,
+        norms: Option<(&Normalizer, &Normalizer)>,
+        edit: Option<&RowEdit<'_>>,
         scratch: &mut Scratch,
         out: &mut Matrix,
     ) -> Result<()> {
@@ -506,81 +427,42 @@ impl Mlp {
                 port: "network input",
             });
         }
-        let n = inputs.rows();
         let out_dim = self.output_dim();
-        out.resize(n, out_dim);
+        out.resize(inputs.rows(), out_dim);
+        let isa = simd::active_isa();
+        simd::note_dispatch(isa);
+        let Scratch { tiles, grid_weights, grid_biases } = scratch;
+        let grid = quant.map(|bits| {
+            let scale = f64::from(1u32 << bits.min(30));
+            let q = |v: f64| (v * scale).round() / scale;
+            grid_weights.clear();
+            grid_biases.clear();
+            for layer in &self.layers {
+                grid_weights.extend(layer.weights.iter().map(|&w| q(w)));
+                grid_biases.extend(layer.biases.iter().map(|&b| q(b)));
+            }
+            Grid { weights: grid_weights, biases: grid_biases, scale }
+        });
+        let walk = FloatWalk {
+            layers: &self.layers,
+            grid,
+            input_norm: norms.map(|(input, _)| input),
+            output_norm: norms.map(|(_, output)| output),
+            edit,
+            isa,
+        };
         let pool = rumba_parallel::ThreadPool::new();
         if pool.threads() <= 1 {
-            let Scratch { a, b, lanes, .. } = scratch;
-            self.forward_rows_flat(n, inputs.as_slice(), quant, a, b, lanes, out.as_mut_slice());
+            walk.rows(inputs, 0, tiles, out.as_mut_slice());
         } else {
             // Rows are independent, so chunking over them is bit-exact at
-            // any thread count; each chunk gets a private workspace.
+            // any thread count.
             pool.par_chunks_mut(out.as_mut_slice(), out_dim, |_c, range, chunk_out| {
-                let mut local = Scratch::new();
                 let sub = inputs.rows_range(range.start, range.end);
-                self.forward_rows_flat(
-                    sub.rows(),
-                    sub.as_slice(),
-                    quant,
-                    &mut local.a,
-                    &mut local.b,
-                    &mut local.lanes,
-                    chunk_out,
-                );
+                walk.rows(sub, range.start, &mut TileScratch::default(), chunk_out);
             });
         }
         Ok(())
-    }
-
-    /// Serial whole-network batched forward over a flat `n × input_dim`
-    /// buffer, writing the flat `n × output_dim` result into `out`.
-    /// `a`/`b` are the grow-only ping-pong activation workspaces; `lanes`
-    /// is the SIMD tile workspace. The ISA is resolved once per call and
-    /// recorded in telemetry; dispatch never changes the produced bits.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn forward_rows_flat(
-        &self,
-        n: usize,
-        input: &[f64],
-        quant: Option<u32>,
-        a: &mut Matrix,
-        b: &mut Matrix,
-        lanes: &mut LaneScratch,
-        out: &mut [f64],
-    ) {
-        let isa = simd::active_isa();
-        simd::note_dispatch(isa);
-        let run = |layer: &Layer, src: &[f64], dst: &mut [f64], lanes: &mut LaneScratch| match quant
-        {
-            None => layer.forward_batch_into(n, src, dst, isa, lanes),
-            Some(bits) => layer.forward_batch_into_quantized(n, src, dst, bits, isa, lanes),
-        };
-        let last = self.layers.len() - 1;
-        for (li, layer) in self.layers.iter().enumerate() {
-            // Layer li reads the previous layer's workspace and writes the
-            // other one (the final layer writes straight into `out`); each
-            // branch borrows the two workspaces disjointly.
-            if li == last {
-                let src: &[f64] = if li == 0 {
-                    input
-                } else if li % 2 == 1 {
-                    a.as_slice()
-                } else {
-                    b.as_slice()
-                };
-                run(layer, src, out, lanes);
-            } else if li == 0 {
-                a.resize(n, layer.out_dim());
-                run(layer, input, a.as_mut_slice(), lanes);
-            } else if li % 2 == 1 {
-                b.resize(n, layer.out_dim());
-                run(layer, a.as_slice(), b.as_mut_slice(), lanes);
-            } else {
-                a.resize(n, layer.out_dim());
-                run(layer, b.as_slice(), a.as_mut_slice(), lanes);
-            }
-        }
     }
 
     /// Evaluates the network on a limited-precision datapath: every weight,

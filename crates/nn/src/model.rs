@@ -1,5 +1,5 @@
 use crate::{
-    Activation, Matrix, MatrixView, Mlp, NnDataset, NnError, Normalizer, Result, Scratch,
+    Activation, Matrix, MatrixView, Mlp, NnDataset, Normalizer, Result, RowEdit, Scratch,
     TrainParams, TrainReport, Trainer,
 };
 
@@ -91,9 +91,10 @@ impl TrainedModel {
         Ok(y)
     }
 
-    /// Evaluates the model on many input rows in application units through
-    /// the cache-blocked batched kernel, fanning row chunks out over the
-    /// deterministic pool. Each row's result is bit-identical to
+    /// Evaluates the model on many input rows in application units,
+    /// walking tiles of [`crate::TILE_ROWS`] rows through the normalizers
+    /// and every layer, with row chunks fanned out over the deterministic
+    /// pool. Each row's result is bit-identical to
     /// [`TrainedModel::predict`] — at any thread count — and with a reused
     /// `scratch`/`out` pair the single-thread path allocates nothing in
     /// steady state.
@@ -108,7 +109,7 @@ impl TrainedModel {
         scratch: &mut Scratch,
         out: &mut Matrix,
     ) -> Result<()> {
-        self.predict_batch_with(inputs, None, scratch, out)
+        self.predict_batch_with(inputs, None, None, scratch, out)
     }
 
     /// Batched counterpart of [`TrainedModel::predict_quantized`];
@@ -125,61 +126,31 @@ impl TrainedModel {
         scratch: &mut Scratch,
         out: &mut Matrix,
     ) -> Result<()> {
-        self.predict_batch_with(inputs, Some(bits), scratch, out)
+        self.predict_batch_with(inputs, Some(bits), None, scratch, out)
     }
 
-    fn predict_batch_with(
+    /// [`TrainedModel::predict_batch`] (`bits: None`) or
+    /// [`TrainedModel::predict_batch_quantized`] (`Some(bits)`) with an
+    /// optional per-row `edit` applied to each input row before the input
+    /// normalizer. Row `i` is bit-identical to the per-row path on
+    /// `inputs.row(i)` after `edit(i, ..)`, and the edit costs no batch-sized
+    /// copy: each row is edited in a one-row staging buffer as its tile is
+    /// loaded.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::NnError::DimensionMismatch`] if `inputs` has the
+    /// wrong width.
+    pub fn predict_batch_with(
         &self,
         inputs: MatrixView<'_>,
-        quant: Option<u32>,
+        bits: Option<u32>,
+        edit: Option<&RowEdit<'_>>,
         scratch: &mut Scratch,
         out: &mut Matrix,
     ) -> Result<()> {
-        if inputs.cols() != self.mlp.input_dim() {
-            return Err(NnError::DimensionMismatch {
-                expected: self.mlp.input_dim(),
-                actual: inputs.cols(),
-                port: "network input",
-            });
-        }
-        let n = inputs.rows();
-        out.resize(n, self.mlp.output_dim());
-        let pool = rumba_parallel::ThreadPool::new();
-        if pool.threads() <= 1 {
-            self.predict_rows_into(inputs, quant, scratch, out.as_mut_slice());
-        } else {
-            let out_dim = self.mlp.output_dim();
-            pool.par_chunks_mut(out.as_mut_slice(), out_dim, |_c, range, chunk_out| {
-                let mut local = Scratch::new();
-                let sub = inputs.rows_range(range.start, range.end);
-                self.predict_rows_into(sub, quant, &mut local, chunk_out);
-            });
-        }
-        Ok(())
-    }
-
-    /// Serial batched predict: stage normalized inputs, run the blocked
-    /// forward, invert the output normalizer in place. Per row this is the
-    /// exact arithmetic of [`TrainedModel::predict`].
-    fn predict_rows_into(
-        &self,
-        inputs: MatrixView<'_>,
-        quant: Option<u32>,
-        scratch: &mut Scratch,
-        out: &mut [f64],
-    ) {
-        let n = inputs.rows();
-        let Scratch { a, b, staged, lanes, .. } = scratch;
-        staged.resize(n, inputs.cols());
-        staged.as_mut_slice().copy_from_slice(inputs.as_slice());
-        for r in 0..n {
-            self.input_norm.apply(staged.row_mut(r));
-        }
-        self.mlp.forward_rows_flat(n, staged.as_slice(), quant, a, b, lanes, out);
-        let out_dim = self.mlp.output_dim();
-        for row in out.chunks_mut(out_dim) {
-            self.output_norm.invert(row);
-        }
+        let norms = Some((&self.input_norm, &self.output_norm));
+        self.mlp.walk_batch(inputs, bits, norms, edit, scratch, out)
     }
 
     /// Rebuilds a model from its components (the config-stream decoder's

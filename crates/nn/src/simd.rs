@@ -481,8 +481,10 @@ pub(crate) mod arm {
 }
 
 /// Dispatches the packed-tile neuron kernel for `isa`. `rp` must be a
-/// multiple of [`Isa::lanes_f64`]; on [`Isa::Scalar`] callers should use
-/// the plain tiled loop instead (this falls back to it defensively).
+/// multiple of [`Isa::lanes_f64`]. On [`Isa::Scalar`] (one-row lanes, any
+/// `rp`) the loop runs feature-major, `yt[r] += w[k] * xt[k * rp + r]`
+/// for each `k` in turn — per row still `bias`, then every feature
+/// ascending.
 pub(crate) fn neuron_rows_dispatch(
     isa: Isa,
     wrow: &[f64],
@@ -500,12 +502,12 @@ pub(crate) fn neuron_rows_dispatch(
         // SAFETY: NEON is mandatory on aarch64.
         Isa::Neon => unsafe { arm::neuron_rows(wrow, bias, xt, rp, yt) },
         _ => {
-            for (r, acc_out) in yt[..rp].iter_mut().enumerate() {
-                let mut acc = bias;
-                for (k, &w) in wrow.iter().enumerate() {
-                    acc += w * xt[k * rp + r];
+            let yt = &mut yt[..rp];
+            yt.fill(bias);
+            for (&w, col) in wrow.iter().zip(xt.chunks_exact(rp)) {
+                for (acc, &x) in yt.iter_mut().zip(col) {
+                    *acc += w * x;
                 }
-                *acc_out = acc;
             }
         }
     }
@@ -622,10 +624,18 @@ mod tests {
             let bias = next();
             let mut want = vec![0.0; rp];
             neuron_rows_scalar(&wrow, bias, &xt, rp, &mut want);
-            let mut got = vec![0.0; rp];
-            neuron_rows_dispatch(detected_isa(), &wrow, bias, &xt, rp, &mut got);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "in_dim {in_dim}");
+            for isa in [Isa::Scalar, detected_isa()] {
+                let mut got = vec![0.0; rp];
+                neuron_rows_dispatch(isa, &wrow, bias, &xt, rp, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{isa:?} in_dim {in_dim}");
+            }
+            // One-row lanes take any tile height.
+            let mut want = vec![0.0; 5];
+            neuron_rows_scalar(&wrow, bias, &xt[..in_dim * 5], 5, &mut want);
+            let mut got = vec![0.0; 5];
+            neuron_rows_dispatch(Isa::Scalar, &wrow, bias, &xt[..in_dim * 5], 5, &mut got);
+            assert_eq!(bits(&got), bits(&want), "scalar in_dim {in_dim}");
         }
     }
 

@@ -7,7 +7,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rumba_nn::{Activation, Matrix, MatrixView, Mlp, Normalizer, Scratch, SimdMode, TrainedModel};
+use rumba_nn::{
+    Activation, Matrix, MatrixView, Mlp, Normalizer, Scratch, SimdMode, TrainedModel, TILE_ROWS,
+};
 
 /// Serializes every test that flips the process-wide SIMD override, so a
 /// concurrently scheduled case never observes a mid-run mode change.
@@ -211,7 +213,7 @@ fn reference_quantized_forward(mlp: &Mlp, bits: u32, input: &[f64]) -> Vec<f64> 
 proptest! {
     /// Tentpole contract: forcing the vector kernels and forcing the
     /// scalar kernels produce bitwise-identical batches across random
-    /// topologies, ragged tail sizes (n % lane-width != 0), the 32-row
+    /// topologies, ragged tail sizes (n % lane-width != 0), the 64-row
     /// tile boundary, and 1/4 worker threads — and both match the
     /// per-row serial loop.
     #[test]
@@ -412,4 +414,78 @@ fn reused_scratch_survives_shape_changes() {
             assert_eq!(row_bits(out.row(i)), row_bits(&serial));
         }
     }
+}
+
+/// The row-tile walk at its edges: batches one short of, at and one past
+/// a tile and past two tiles, hidden layers wider than a tile, and an
+/// input feature that was constant when the normalizer was fitted (its
+/// zero-span branch), for every batched path, bitwise against the per-row
+/// paths under forced scalar and forced vector dispatch at 1 and 4
+/// threads. The edited path is pinned against `predict` on the edited row.
+#[test]
+fn tile_edges_match_the_per_row_paths_bitwise() {
+    let _guard = simd_lock();
+    let t = TILE_ROWS;
+    let edit = |row: usize, values: &mut [f64]| values[values.len() - 1] -= row as f64 * 0.01;
+    for (seed, topo) in
+        [[3usize, 70, 2].as_slice(), &[4, 9, 80, 3], &[64, 16, 64]].iter().enumerate()
+    {
+        let seed = seed as u64;
+        let (in_dim, out_dim) = (topo[0], topo[topo.len() - 1]);
+        let mlp = Mlp::new(topo, Activation::Sigmoid, seed).unwrap();
+        let mut mins = vec![-5.0; in_dim];
+        let mut maxs = vec![5.0; in_dim];
+        (mins[0], maxs[0]) = (1.5, 1.5);
+        let output_norm =
+            Normalizer::fit(random_inputs(16, out_dim, seed).chunks(out_dim), out_dim, 0.0, 1.0);
+        let model = TrainedModel::from_parts(
+            mlp.clone(),
+            Normalizer::from_bounds(mins, maxs, 0.0, 1.0),
+            output_norm,
+        );
+        let fixed = model.prepare_fixed(11);
+        for n in [t - 1, t, t + 1, 2 * t + 3] {
+            let flat = random_inputs(n, in_dim, seed ^ n as u64);
+            let inputs = MatrixView::new(&flat, n, in_dim);
+            for (mode, threads) in
+                [(SimdMode::Off, 1), (SimdMode::On, 1), (SimdMode::Off, 4), (SimdMode::On, 4)]
+            {
+                rumba_nn::set_simd_override(Some(mode));
+                rumba_parallel::set_thread_override(Some(threads));
+                let mut batches = [(); 6].map(|()| Matrix::default());
+                let mut scratch = Scratch::new();
+                let [fwd, fwd_q, pred, pred_q, pred_fixed, pred_edit] = &mut batches;
+                mlp.forward_batch(inputs, &mut scratch, fwd).unwrap();
+                mlp.forward_batch_quantized(inputs, 6, &mut scratch, fwd_q).unwrap();
+                model.predict_batch(inputs, &mut scratch, pred).unwrap();
+                model.predict_batch_quantized(inputs, 6, &mut scratch, pred_q).unwrap();
+                fixed.predict_batch(inputs, &mut scratch, pred_fixed).unwrap();
+                model
+                    .predict_batch_with(inputs, None, Some(&edit), &mut scratch, pred_edit)
+                    .unwrap();
+                rumba_parallel::set_thread_override(None);
+                for i in 0..n {
+                    let row = inputs.row(i);
+                    let mut edited = row.to_vec();
+                    edit(i, &mut edited);
+                    let want = [
+                        mlp.forward(row).unwrap(),
+                        mlp.forward_quantized(row, 6).unwrap(),
+                        model.predict(row).unwrap(),
+                        model.predict_quantized(row, 6).unwrap(),
+                        fixed.predict(row).unwrap(),
+                        model.predict(&edited).unwrap(),
+                    ];
+                    for (path, (got, want)) in batches.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            row_bits(got.row(i)),
+                            row_bits(want),
+                            "{topo:?} n {n} {mode:?} threads {threads} path {path} row {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    rumba_nn::set_simd_override(None);
 }
